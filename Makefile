@@ -53,13 +53,14 @@ fuzz-strace:
 CHAOS_COUNT ?= 1
 chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosPipeline|TestUnavailableRefusesPlans|TestFollowFailureMatrix|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight' \
+		-run 'TestChaosPipeline|TestBootstrapStopsWhenFeederFails|TestFollowFailureMatrix|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight' \
 		./cmd/seerd/
 	$(GO) test -race -count=$(CHAOS_COUNT) ./internal/supervise/ ./internal/fault/
 
 # Metrics smoke: run a built seerd against a sample strace file and
-# verify /metrics exposes the core series, the expvar compat view
-# survives, and /debug/traces answers. Needs curl.
+# verify /metrics exposes the core series, the debug listener serves
+# the health document and /shards, and /debug/traces answers. Needs
+# curl.
 metrics-smoke:
 	$(GO) build -o bin/seerd ./cmd/seerd
 	sh scripts/metrics_smoke.sh
@@ -98,7 +99,7 @@ metrics-lint:
 # event loss (DESIGN.md §15). Race detector on; CHAOS_COUNT repeats.
 shard-chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest' \
+		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest|TestCheckpointFailureDegradesOnlyItsShard' \
 		./internal/shard/ ./internal/supervise/
 
 # Replication chaos gate: the networked CheapRumor substrate under 30%
@@ -112,8 +113,8 @@ rumor-chaos: vet
 		-run 'TestRefillSyncOverRemote' ./internal/hoard/
 
 # Capacity smoke: the closed-loop harness (cmd/seerload) ramps mixed
-# /plan + /hoard + /miss + rumor-sync load against a real seerd (plain
-# with -rumor, then -shards 4), records BENCH_load.json through
+# /plan + /hoard + /miss + rumor-sync load against a real seerd (one
+# slot with -rumor, then -shards 4), records BENCH_load.json through
 # benchcmp, and re-checks a second ramp against it — the whole capacity
 # pipeline, black-box, in well under a minute. DESIGN.md §16.
 load-smoke:

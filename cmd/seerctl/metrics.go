@@ -43,20 +43,10 @@ func printMetrics(w io.Writer, base string) error {
 		v, ok := vals[name]
 		return v, ok
 	}
-	// sumFamily totals every series of a labeled family, e.g. all
-	// stages of seer_stage_restarts_total.
-	sumFamily := func(name string) (float64, bool) {
-		var total float64
-		found := false
-		prefix := name + "{"
-		for k, v := range vals {
-			if k == name || strings.HasPrefix(k, prefix) {
-				total += v
-				found = true
-			}
-		}
-		return total, found
-	}
+	// sumFamily totals every series of a family, labeled or not: all
+	// stages of seer_stage_restarts_total, or every shard's
+	// seer_hoard_missfree_bytes{shard=…}.
+	sumFamily := func(name string) (float64, bool) { return sumTotal(vals, name) }
 	// family collects a labeled family's series keyed by the first
 	// label's value: seer_shard_state{shard="3"} → "3".
 	family := func(name, label string) map[string]float64 {
@@ -72,15 +62,16 @@ func printMetrics(w io.Writer, base string) error {
 		return out
 	}
 	row := func(label, value string) { fmt.Fprintf(w, "%-22s %s\n", label, value) }
+	// count and mb render a family's total across shards.
 	count := func(label, name string) {
-		if v, ok := get(name); ok {
+		if v, ok := sumFamily(name); ok {
 			row(label, fmt.Sprintf("%.0f", v))
 		} else {
 			row(label, absent)
 		}
 	}
 	mb := func(label, name string) {
-		if v, ok := get(name); ok {
+		if v, ok := sumFamily(name); ok {
 			row(label, fmt.Sprintf("%.1f MB", v/(1<<20)))
 		} else {
 			row(label, absent)
@@ -96,9 +87,9 @@ func printMetrics(w io.Writer, base string) error {
 	count("plans built", "seer_plans_built_total")
 	count("stale plans served", "seer_stale_plans_served_total")
 	count("events ingested", "seer_events_ingested_total")
-	if depth, ok := get("seer_queue_depth"); ok {
-		capacity, _ := get("seer_queue_capacity")
-		shed, _ := get("seer_queue_shed_total")
+	if depth, ok := sumFamily("seer_queue_depth"); ok {
+		capacity, _ := sumFamily("seer_queue_capacity")
+		shed, _ := sumFamily("seer_queue_shed_total")
 		row("ingest queue", fmt.Sprintf("%.0f/%.0f (shed %.0f)", depth, capacity, shed))
 	} else {
 		row("ingest queue", absent)
@@ -159,10 +150,10 @@ var shardStateNames = map[float64]string{
 	0: "opening", 1: "serving", 2: "draining", 3: "closed",
 }
 
-// printShardRollup renders the per-shard section of a multi-tenant
-// seerd: one line per shard (state + restarts + admission totals) plus
-// the gateway retry/route-error counters. Silent on a single-tenant
-// daemon (no seer_shard_state family).
+// printShardRollup renders seerd's per-shard section: one line per
+// shard (state + restarts + admission totals) plus the gateway
+// retry/route-error counters. Silent when the scrape has no
+// seer_shard_state family (rumord).
 func printShardRollup(w io.Writer, vals map[string]float64,
 	family func(name, label string) map[string]float64,
 	row func(label, value string)) {

@@ -56,7 +56,7 @@ func TestPrintMetrics(t *testing.T) {
 		}
 	}
 	if strings.Contains(got, "shard 0") {
-		t.Errorf("single-tenant scrape grew a shard rollup:\n%s", got)
+		t.Errorf("scrape without shard series grew a shard rollup:\n%s", got)
 	}
 
 	// A daemon that answers non-200 is an error, not an empty table.
@@ -137,6 +137,48 @@ func TestPrintMetricsShardRollup(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("shard rollup missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// seerd exports the §5 hoard gauges and the ingest-queue families once
+// per shard; the headline rows total them across shards.
+func TestPrintMetricsSumsShardSeries(t *testing.T) {
+	exposition := strings.Join([]string{
+		`seer_hoard_missfree_bytes{shard="0"} 20971520`,
+		`seer_hoard_missfree_bytes{shard="1"} 31457280`,
+		`seer_hoard_unhoardable_files{shard="0"} 2`,
+		`seer_hoard_unhoardable_files{shard="1"} 3`,
+		`seer_hoard_files{shard="0"} 100`,
+		`seer_hoard_files{shard="1"} 110`,
+		`seer_hoard_bytes{shard="0"} 1048576`,
+		`seer_hoard_bytes{shard="1"} 1048576`,
+		`seer_queue_depth{shard="0"} 1`,
+		`seer_queue_depth{shard="1"} 2`,
+		`seer_queue_capacity{shard="0"} 4096`,
+		`seer_queue_capacity{shard="1"} 4096`,
+		`seer_queue_shed_total{shard="0"} 3`,
+		`seer_queue_shed_total{shard="1"} 4`,
+		``,
+	}, "\n")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Write([]byte(exposition))
+	}))
+	defer ts.Close()
+	var out strings.Builder
+	if err := printMetrics(&out, ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"miss-free hoard size   50.0 MB",
+		"unhoardable files      5",
+		"hoard files            210",
+		"hoard bytes            2.0 MB",
+		"ingest queue           3/8192 (shed 7)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
 }

@@ -13,13 +13,13 @@ import (
 	"github.com/fmg/seer/internal/shard"
 )
 
-// shardsResponse is the multi-tenant seerd's /shards body.
+// shardsResponse is seerd's /shards body.
 type shardsResponse struct {
 	Shards []shard.Info `json:"shards"`
 	Health string       `json:"health"`
 }
 
-// printShards fetches /shards from a multi-tenant seerd and renders
+// printShards fetches /shards from seerd and renders
 // one row per shard: lifecycle state, health, event count, queue
 // occupancy, restart/replace history, stale serves, and sheds.
 func printShards(w io.Writer, base string) error {
@@ -30,8 +30,7 @@ func printShards(w io.Writer, base string) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s/shards: %s (is this seerd running with -shards?)",
-			base, resp.Status)
+		return fmt.Errorf("GET %s/shards: %s", base, resp.Status)
 	}
 	var sr shardsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
@@ -52,7 +51,7 @@ func printShards(w io.Writer, base string) error {
 	return nil
 }
 
-// drainShard asks a multi-tenant seerd to drain and replace one shard:
+// drainShard asks seerd to drain and replace one shard:
 // POST /shards/drain?shard=N. The daemon blocks until the migration
 // finishes (final checkpoint written, replacement replayed), so the
 // printed response is the completed outcome.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,45 +11,42 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fmg/seer/internal/core"
+	"github.com/fmg/seer/internal/trace"
 )
 
-// TestAdmissionChaosShedAndRecover is the acceptance scenario for the
-// admission-control tentpole: under injected overload (the correlator
-// lock wedged by the test) seerd serves 429 + Retry-After instead of
+// TestAdmissionChaosShedAndRecover is the acceptance scenario for
+// admission control: under injected overload (the slot's correlator
+// wedged by the test) seerd serves 429 + Retry-After instead of
 // queueing without bound, /healthz reports degraded while shedding is
 // recent, and a hot config reload raising the in-flight limit restores
 // 200s with zero restarts — all under -race.
 func TestAdmissionChaosShedAndRecover(t *testing.T) {
-	oldPoll, oldWindow, oldDeadline := confPollEvery, admitShedWindow, planDeadline
-	// The shed window must outlast the wedged burst (whose admitted
-	// requests only return after planDeadline) so the degraded state is
-	// still visible when we probe it.
-	confPollEvery, admitShedWindow, planDeadline = time.Millisecond, 2*time.Second, 300*time.Millisecond
+	oldPoll := confPollEvery
+	confPollEvery = time.Millisecond
 	// Cleanup, not defer: registered before startTestPipeline's cleanup,
-	// so the globals are restored only after the pipeline has stopped.
-	t.Cleanup(func() { confPollEvery, admitShedWindow, planDeadline = oldPoll, oldWindow, oldDeadline })
+	// so the global is restored only after the pipeline has stopped.
+	t.Cleanup(func() { confPollEvery = oldPoll })
 
 	dir := t.TempDir()
 	strace := filepath.Join(dir, "seer.strace")
 	cfgFile := filepath.Join(dir, "seerd.conf")
-	appendLine(t, strace, "bootstrap noise\n")
+	writeTrace(t, strace, 12)
 	// Tight limit before startup: the watcher applies it as generation 2.
 	if err := os.WriteFile(cfgFile, []byte("admit-plan-inflight 2\nadmit-retry-after 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(seededCorrelator(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: strace,
-		cfgPath:    cfgFile,
-	})
+	rt := testRuntime(strace)
+	rt.Daemon.GatewayTimeoutMS = 300
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt, cfgPath: cfgFile}, nil)
+	s0 := p.mgr.Shard(0)
+	lim := s0.Limiter()
 	base := "http://" + p.addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
-	waitFor(t, "startup config applied", func() bool { return p.store().Generation() == 2 })
-	if got := p.store().Get().Admit.PlanMaxInFlight; got != 2 {
+	waitFor(t, "startup config applied", func() bool { return p.store.Generation() == 2 })
+	if got := p.store.Get().Admit.PlanMaxInFlight; got != 2 {
 		t.Fatalf("PlanMaxInFlight = %d after startup reload, want 2", got)
 	}
 
@@ -58,15 +56,30 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 		t.Fatalf("baseline /plan: %d", code)
 	}
 
-	// Inject overload: hold the correlator's exclusion so every admitted
-	// /plan blocks until the stale deadline.
-	d.lock()
+	// Inject overload: a feed that hangs holds the correlator lock, so
+	// every admitted /plan blocks until the stale deadline.
+	wedge, entered := make(chan struct{}), make(chan struct{}, 1)
+	s0.SetFeedHook(func(trace.Event) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-wedge
+	})
+	unwedge := func() {
+		s0.SetFeedHook(nil)
+		close(wedge)
+	}
 	wedged := true
 	defer func() {
 		if wedged {
-			d.unlock()
+			unwedge()
 		}
 	}()
+	if _, err := s0.IngestLines(context.Background(), []string{chaosLine(0)}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 
 	// Fire 8 concurrent /plan. With 2 slots, exactly 6 are shed with
 	// 429 + the configured Retry-After; the admitted 2 serve the stale
@@ -79,7 +92,7 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 	go func() {
 		defer close(sampleDone)
 		for i := 0; i < 200; i++ {
-			if n := p.planLim.InFlight(); n > maxInFlight.Load() {
+			if n := lim.InFlight(); n > maxInFlight.Load() {
 				maxInFlight.Store(n)
 			}
 			time.Sleep(time.Millisecond)
@@ -121,22 +134,22 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 	if got := maxInFlight.Load(); got > 2 {
 		t.Errorf("observed %d in flight, limit is 2: queueing is unbounded", got)
 	}
-	if got := p.planLim.Sheds(); got < uint64(burst-2) {
+	if got := lim.Sheds(); got < uint64(burst-2) {
 		t.Errorf("shed counter = %d, want >= %d", got, burst-2)
 	}
 
-	// The shed is visible in health: the admission probe degrades the
-	// whole report while shedding is recent.
+	// The shed is visible in health: the slot's admission probe degrades
+	// the whole report while shedding is recent.
 	rep := waitHealth(t, client, base, "degraded")
-	if got := probeState(rep, "admission"); got != "degraded" {
-		t.Errorf("admission probe = %q, want degraded (report %+v)", got, rep)
+	if got := probeDetail(rep, "shards"); !strings.Contains(got, "admission: shedding recently") {
+		t.Errorf("shards probe = %q, want the admission probe named (report %+v)", got, rep)
 	}
 
 	// Shed counters are exported.
 	if code, _, metrics := httpGet(t, client, base+"/metrics"); code != 200 {
 		t.Errorf("/metrics: %d", code)
-	} else if !strings.Contains(metrics, `seer_admit_shed_total{endpoint="plan"}`) {
-		t.Errorf("metrics missing plan shed counter:\n%s", metrics)
+	} else if !strings.Contains(metrics, `seer_admit_shed_total{endpoint="shard0"}`) {
+		t.Errorf("metrics missing the slot's shed counter:\n%s", metrics)
 	}
 
 	// Hot reload raises the limit WHILE the correlator is still wedged —
@@ -145,11 +158,11 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "limit-raising reload applied under wedge", func() bool {
-		return p.store().Generation() == 3
+		return p.store.Generation() == 3
 	})
 
 	// Clear the overload; the same burst now fully succeeds, fresh.
-	d.unlock()
+	unwedge()
 	wedged = false
 	var after200 atomic.Int64
 	for i := 0; i < burst; i++ {
@@ -169,9 +182,10 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 		t.Errorf("post-reload 200s = %d, want %d", got, burst)
 	}
 
-	// Once the shed window passes, health recovers — zero restarts.
-	waitHealth(t, client, base, "healthy")
-	if got := p.sup.Restarts(); got != 0 {
+	// Once the shard's 15 s shed window passes, health recovers — zero
+	// restarts.
+	waitHealthWithin(t, client, base, "healthy", 30*time.Second)
+	if got := p.sup.Restarts() + s0.Restarts(); got != 0 {
 		t.Errorf("stage restarts = %d, want 0: recovery must come from reload, not restart", got)
 	}
 }

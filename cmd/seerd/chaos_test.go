@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/fault"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
 	"github.com/fmg/seer/internal/trace"
 )
@@ -67,7 +66,13 @@ func healthReport(t *testing.T, client *http.Client, base string) (int, supervis
 // waitHealth polls /healthz until the aggregate state matches.
 func waitHealth(t *testing.T, client *http.Client, base, want string) supervise.Report {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	return waitHealthWithin(t, client, base, want, 10*time.Second)
+}
+
+// waitHealthWithin is waitHealth with an explicit deadline.
+func waitHealthWithin(t *testing.T, client *http.Client, base, want string, d time.Duration) supervise.Report {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	var rep supervise.Report
 	for time.Now().Before(deadline) {
 		_, rep = healthReport(t, client, base)
@@ -90,47 +95,49 @@ func stageState(rep supervise.Report, name string) string {
 	return "missing"
 }
 
-// probeState returns the named probe's state from a report.
-func probeState(rep supervise.Report, name string) string {
+// probeDetail returns the named probe's detail from a report.
+func probeDetail(rep supervise.Report, name string) string {
 	for _, pr := range rep.Probes {
 		if pr.Name == name {
-			return pr.State
+			return pr.Detail
 		}
 	}
 	return "missing"
 }
 
-// TestChaosPipeline runs a real supervised seerd pipeline while faults
+// TestChaosPipeline runs a real supervised one-slot seerd while faults
 // are injected — feeder panics, tailer panics up to a tripped breaker,
 // a stalled tail read, corrupt trace lines, failing checkpoints, and a
-// wedged clustering — asserting the daemon answers /plan throughout,
+// wedged correlator — asserting the daemon answers /plan throughout,
 // health transitions track the injected faults (healthy → degraded →
 // healthy), recovery lands within the backoff budget, and ≥10 induced
 // stage restarts leak no goroutines.
 func TestChaosPipeline(t *testing.T) {
-	oldPoll, oldDeadline := followPoll, planDeadline
-	followPoll, planDeadline = 5*time.Millisecond, 300*time.Millisecond
-	defer func() { followPoll, planDeadline = oldPoll, oldDeadline }()
+	oldPoll := followPoll
+	followPoll = 5 * time.Millisecond
+	// Cleanup, not defer: registered before startTestPipeline's cleanup,
+	// so the tailer has stopped before the global is restored.
+	t.Cleanup(func() { followPoll = oldPoll })
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seer.strace")
-	db := filepath.Join(dir, "seer.db")
 	appendLine(t, path, "bootstrap noise before follow\n")
-
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
 
 	tailPanic := fault.NewPanicAfter(0) // disarmed
 	feedPanic := fault.NewPanicAfter(0)
 	var sink fault.Sink
 	var stall atomic.Pointer[fault.StallReader]
 
-	cfg := pipelineConfig{
-		stracePath:      path,
-		follow:          true,
-		dbPath:          db,
-		listen:          "127.0.0.1:0",
-		queueCap:        128,
-		queueBlock:      5 * time.Millisecond,
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.ShardDir = dir
+	rt.Daemon.QueueCap = 128
+	rt.Daemon.QueueBlockMS = 5
+	// The whole-request deadline: a plan that cannot be built within it
+	// falls back to the last-good plan.
+	rt.Daemon.GatewayTimeoutMS = 300
+	p, stop := startTestPipeline(t, pipelineConfig{
+		rt:              rt,
 		checkpointEvery: 20 * time.Millisecond,
 		supervisor: supervise.Config{
 			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
@@ -138,39 +145,22 @@ func TestChaosPipeline(t *testing.T) {
 			Window:     time.Minute,
 			ResetAfter: 50 * time.Millisecond,
 		},
-	}
-	p := newPipeline(d, cfg)
-	p.wrapTail = func(r io.Reader) io.Reader {
-		sr := fault.NewStallReader(&fault.PanicReader{R: r, After: tailPanic})
-		stall.Store(sr)
-		return sr
-	}
-	origFeed := p.feed
-	p.feed = func(ev trace.Event) {
-		feedPanic.Hit()
-		origFeed(ev)
-	}
-	origSave := p.save
-	p.save = func() error { return sink.Do(origSave) }
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.start(ctx)
-	defer func() {
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("pipeline did not shut down")
+	}, func(p *pipeline) {
+		p.wrapTail = func(r io.Reader) io.Reader {
+			sr := fault.NewStallReader(&fault.PanicReader{R: r, After: tailPanic})
+			stall.Store(sr)
+			return sr
 		}
-	}()
+		s0 := p.mgr.Shard(0)
+		s0.SetFeedHook(func(trace.Event) { feedPanic.Hit() })
+		s0.SetSaveWrapper(sink.Do)
+	})
+	defer stop()
+	s0 := p.mgr.Shard(0)
+	// restarts counts induced restarts across the process tree and the
+	// slot's own tree.
+	restarts := func() uint64 { return p.sup.Restarts() + s0.Restarts() }
 
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
 	base := "http://" + p.addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
@@ -185,22 +175,23 @@ func TestChaosPipeline(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	feedN(5)
-	waitEvents(t, d, 3)
-	if code, hdr, body := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(staleHeader) != "" || body == "" {
-		t.Fatalf("baseline /plan: code=%d stale=%q body=%q", code, hdr.Get(staleHeader), body)
+	waitEvents(t, p, 3)
+	if code, hdr, body := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" || body == "" {
+		t.Fatalf("baseline /plan: code=%d stale=%q body=%q", code, hdr.Get(shard.StaleHeader), body)
 	}
 	waitHealth(t, client, base, "healthy")
 	client.CloseIdleConnections()
 	time.Sleep(50 * time.Millisecond)
 	baselineGoroutines := runtime.NumGoroutine()
 
-	// ---- Phase 1: feeder panics. Each armed panic kills the feeder
-	// mid-event; the supervisor restarts it and ingestion resumes. ----
+	// ---- Phase 1: feeder panics. Each armed panic kills the slot's
+	// feeder mid-event; its supervisor restarts it and ingestion
+	// resumes. ----
 	for i := 0; i < 5; i++ {
-		before := p.sup.Restarts()
+		before := s0.Restarts()
 		feedPanic.Arm(1)
 		feedN(1)
-		waitFor(t, "feeder restart", func() bool { return p.sup.Restarts() > before })
+		waitFor(t, "feeder restart", func() bool { return s0.Restarts() > before })
 		if code, _, _ := httpGet(t, client, base+"/plan"); code != 200 {
 			t.Fatalf("/plan during feeder chaos: code=%d", code)
 		}
@@ -209,21 +200,16 @@ func TestChaosPipeline(t *testing.T) {
 	feedN(2)
 	// 5 baseline + 5 chaos lines (each armed panic loses exactly one
 	// in-flight event) + 2 after disarming = at least 7 learned.
-	waitEvents(t, d, 7)
+	waitEvents(t, p, 7)
 	waitHealth(t, client, base, "healthy")
 
 	// ---- Phase 2: corrupt trace lines. Garbage must be skipped, and
 	// valid lines behind it still learned. ----
 	appendLine(t, path, "!!corrupt!! \x00\x01 not strace at all\n")
 	appendLine(t, path, strings.Repeat("z", 2048)+"\n")
-	wantEvents := func() uint64 {
-		d.lock()
-		defer d.unlock()
-		return d.corr.Events()
-	}
-	beforeCorrupt := wantEvents()
+	beforeCorrupt := events(p)
 	feedN(2)
-	waitFor(t, "valid lines after corruption", func() bool { return wantEvents() > beforeCorrupt })
+	waitFor(t, "valid lines after corruption", func() bool { return events(p) > beforeCorrupt })
 
 	// ---- Phase 3: stalled tail. A hung read must not stop /plan or
 	// health from answering. ----
@@ -241,15 +227,16 @@ func TestChaosPipeline(t *testing.T) {
 	}
 
 	// ---- Phase 4: checkpoint failures. The sink breaks; consecutive
-	// failures degrade health via the checkpoint probe; healing it
-	// recovers. /plan serves fresh plans the whole time. ----
+	// failures degrade the slot through its checkpoint probe, which the
+	// process report names; healing it recovers. /plan serves fresh
+	// plans the whole time. ----
 	sink.Break()
 	rep := waitHealth(t, client, base, "degraded")
-	if probeState(rep, "checkpoint") != "degraded" {
-		t.Fatalf("checkpoint probe = %s during sink break; report %+v", probeState(rep, "checkpoint"), rep)
+	if d := probeDetail(rep, "shards"); !strings.Contains(d, "checkpoint: consecutive_failures=") {
+		t.Fatalf("shards probe %q does not name the checkpoint probe during sink break", d)
 	}
-	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(staleHeader) != "" {
-		t.Fatalf("/plan during checkpoint faults: code=%d stale=%q", code, hdr.Get(staleHeader))
+	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" {
+		t.Fatalf("/plan during checkpoint faults: code=%d stale=%q", code, hdr.Get(shard.StaleHeader))
 	}
 	sink.Heal()
 	waitHealth(t, client, base, "healthy")
@@ -299,34 +286,48 @@ func TestChaosPipeline(t *testing.T) {
 	// run; give it the 10s waitHealth budget at most.
 	waitHealth(t, client, base, "healthy")
 	time.Sleep(30 * time.Millisecond) // restarted tailer seeks to end first
-	beforeRecov := wantEvents()
+	beforeRecov := events(p)
 	feedN(2)
-	waitFor(t, "tailing after breaker recovery", func() bool { return wantEvents() > beforeRecov })
+	waitFor(t, "tailing after breaker recovery", func() bool { return events(p) > beforeRecov })
 
-	// ---- Phase 6: wedged clustering. Something holds the correlator
-	// lock past the plan deadline; /plan falls back to the last-good
-	// plan, marked stale, and repeated failures degrade the plan
-	// probe. Releasing the wedge restores fresh plans. ----
-	d.lock()
-	for i := 0; i < planDegradedAfter; i++ {
+	// ---- Phase 6: wedged correlator. A feed that hangs holds the
+	// correlator lock past the request deadline; /plan falls back to the
+	// last-good plan, marked stale, and repeated failures degrade the
+	// slot's plan probe. Releasing the wedge restores fresh plans. ----
+	wedge, entered := make(chan struct{}), make(chan struct{}, 1)
+	s0.SetFeedHook(func(trace.Event) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-wedge
+	})
+	feedN(1)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("feeder never reached the wedge")
+	}
+	for i := 0; i < 2; i++ {
 		code, hdr, body := httpGet(t, client, base+"/plan")
-		if code != 200 || hdr.Get(staleHeader) != "true" || body == "" {
-			t.Fatalf("wedged /plan: code=%d stale=%q len=%d", code, hdr.Get(staleHeader), len(body))
+		if code != 200 || hdr.Get(shard.StaleHeader) != "true" || body == "" {
+			t.Fatalf("wedged /plan: code=%d stale=%q len=%d", code, hdr.Get(shard.StaleHeader), len(body))
 		}
 	}
 	rep = waitHealth(t, client, base, "degraded")
-	if probeState(rep, "plan") != "degraded" {
-		t.Fatalf("plan probe = %s while wedged", probeState(rep, "plan"))
+	if d := probeDetail(rep, "shards"); !strings.Contains(d, "plan: consecutive_failures=") {
+		t.Fatalf("shards probe %q does not name the plan probe while wedged", d)
 	}
-	d.unlock()
-	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(staleHeader) != "" {
-		t.Fatalf("post-wedge /plan: code=%d stale=%q", code, hdr.Get(staleHeader))
+	s0.SetFeedHook(nil)
+	close(wedge)
+	if code, hdr, _ := httpGet(t, client, base+"/plan"); code != 200 || hdr.Get(shard.StaleHeader) != "" {
+		t.Fatalf("post-wedge /plan: code=%d stale=%q", code, hdr.Get(shard.StaleHeader))
 	}
 	waitHealth(t, client, base, "healthy")
 
 	// ---- Invariants: enough induced restarts, and no goroutine leak
 	// across them. ----
-	if got := p.sup.Restarts(); got < 10 {
+	if got := restarts(); got < 10 {
 		t.Errorf("induced restarts = %d, want >= 10", got)
 	}
 
@@ -343,14 +344,17 @@ func TestChaosPipeline(t *testing.T) {
 	if want := float64(p.sup.Restarts()); restartSum != want {
 		t.Errorf("sum of seer_stage_restarts_total = %v, supervisor says %v", restartSum, want)
 	}
-	if got, want := vals["seer_queue_shed_total"], float64(p.queue.Drops()); got != want {
-		t.Errorf("seer_queue_shed_total = %v, queue says %v", got, want)
+	if got, want := vals[`seer_shard_restarts_total{shard="0"}`], float64(s0.Restarts()); got != want {
+		t.Errorf("seer_shard_restarts_total = %v, shard says %v", got, want)
 	}
-	if got, want := vals["seer_events_ingested_total"], float64(wantEvents()); got != want {
+	if _, _, drops := s0.QueueStats(); vals[`seer_queue_shed_total{shard="0"}`] != float64(drops) {
+		t.Errorf("seer_queue_shed_total = %v, queue says %v", vals[`seer_queue_shed_total{shard="0"}`], drops)
+	}
+	if got, want := vals["seer_events_ingested_total"], float64(events(p)); got != want {
 		t.Errorf("seer_events_ingested_total = %v, correlator says %v", got, want)
 	}
-	if got := vals["seer_stale_plans_served_total"]; got < float64(planDegradedAfter) {
-		t.Errorf("seer_stale_plans_served_total = %v, want >= %d (wedged phase)", got, planDegradedAfter)
+	if got := vals["seer_stale_plans_served_total"]; got < 2 {
+		t.Errorf("seer_stale_plans_served_total = %v, want >= 2 (wedged phase)", got)
 	}
 	if got := vals["seer_health_state"]; got != 0 {
 		t.Errorf("seer_health_state = %v after recovery, want 0 (healthy)", got)
@@ -362,7 +366,50 @@ func TestChaosPipeline(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if now := runtime.NumGoroutine(); now > baselineGoroutines+slack {
-		t.Errorf("goroutines grew %d -> %d across %d restarts", baselineGoroutines, now, p.sup.Restarts())
+		t.Errorf("goroutines grew %d -> %d across %d restarts", baselineGoroutines, now, restarts())
+	}
+}
+
+// TestBootstrapStopsWhenFeederFails panics the slot's feeder in the
+// middle of a bootstrap batch. The supervisor restarts it, but the event
+// it was feeding is gone, so the batch can never be caught up: bootstrap
+// must stop promptly with an error counting the unfed event instead of
+// waiting for a signal.
+func TestBootstrapStopsWhenFeederFails(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seer.strace")
+	writeTrace(t, path, 40)
+	rt := testRuntime(path)
+	rt.Daemon.Listen = ""
+	rt.Daemon.QueueCap = 16
+	p := newPipeline(pipelineConfig{rt: rt, base: rt, supervisor: testSupervisorConfig()})
+	defer p.close()
+	s0 := p.mgr.Shard(0)
+	feedPanic := fault.NewPanicAfter(5)
+	s0.SetFeedHook(func(trace.Event) { feedPanic.Hit() })
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	done := make(chan error, 1)
+	go func() { done <- p.bootstrap(context.Background(), f) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "1 events unfed") {
+			t.Fatalf("bootstrap err = %v, want the one lost event reported", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("bootstrap still waiting 10s after the feeder lost an event")
+	}
+	if s0.Restarts() == 0 {
+		t.Error("feeder never restarted")
+	}
+	// The first batch (one queue's worth) minus the lost event was fed;
+	// nothing after it was read.
+	if got := s0.Events(); got != 15 {
+		t.Errorf("fed %d events, want 15", got)
 	}
 }
 
@@ -377,39 +424,4 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-// TestUnavailableRefusesPlans pins the 503 policy: only Unavailable
-// (a broken critical stage) refuses /plan; Degraded keeps serving.
-func TestUnavailableRefusesPlans(t *testing.T) {
-	d := newDaemon(seededCorrelator(core.Options{Seed: 1}), 1<<20)
-	sup := supervise.New(supervise.Config{
-		Backoff:    supervise.Backoff{Initial: time.Millisecond, Max: 2 * time.Millisecond},
-		BreakAfter: 2,
-		Window:     time.Minute,
-	})
-	sup.Add("listener", func(ctx context.Context) error {
-		return fmt.Errorf("bind: injected")
-	}, supervise.Critical())
-	d.sup = sup
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sup.Start(ctx)
-	waitFor(t, "unavailable", func() bool { return sup.Health() == supervise.Unavailable })
-
-	for _, path := range []string{"/plan", "/hoard", "/clusters"} {
-		req := httptest.NewRequest("GET", path, nil)
-		rr := httptest.NewRecorder()
-		switch path {
-		case "/plan":
-			d.handlePlan(rr, req)
-		case "/hoard":
-			d.handleHoard(rr, req)
-		case "/clusters":
-			d.handleClusters(rr, req)
-		}
-		if rr.Code != http.StatusServiceUnavailable {
-			t.Errorf("%s while unavailable: code=%d, want 503", path, rr.Code)
-		}
-	}
 }

@@ -11,24 +11,21 @@ import (
 	"github.com/fmg/seer/internal/admit"
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/shard"
 )
-
-// admitShedWindow is how long after the last shed the admission probe
-// reports degraded (a variable so tests can shorten it).
-var admitShedWindow = 15 * time.Second
-
-// confPollEvery is the config-file poll interval (a variable so tests
-// can tighten it).
-var confPollEvery = time.Second
 
 // applyConfig is the hot-reload path: parse data over the flag-derived
 // base runtime (so removing a file line reverts that setting to its
 // flag value), validate the result as a whole, refuse structural
-// changes, then swap the store and push every hot setting into the
-// live components. A rejected reload leaves the active config serving
-// untouched; both outcomes are counted and recorded for /debug/config.
+// changes, then swap the store and push every hot setting into the live
+// components. Shards get it through Manager.ApplyRuntime, which reaches
+// only serving shards, so a SIGHUP landing mid-drain can neither
+// resurrect the draining shard nor retune a closed one (its replacement
+// opens with the new runtime instead). A rejected reload leaves the
+// active config serving untouched; both outcomes are counted and
+// recorded for /debug/config.
 func (p *pipeline) applyConfig(data []byte) error {
-	next := p.cfg.base
+	next := p.base
 	err := func() error {
 		if err := config.ApplyFile(&next, bytes.NewReader(data)); err != nil {
 			return err
@@ -36,85 +33,45 @@ func (p *pipeline) applyConfig(data []byte) error {
 		if err := next.Validate(); err != nil {
 			return err
 		}
-		if diffs := config.StructuralDiff(*p.store().Get(), next); len(diffs) > 0 {
+		if diffs := config.StructuralDiff(*p.store.Get(), next); len(diffs) > 0 {
 			return fmt.Errorf("structural settings cannot change on a live reload: %s",
 				strings.Join(diffs, ", "))
 		}
 		return nil
 	}()
 	if err != nil {
-		p.store().RecordReload(err)
+		p.store.RecordReload(err)
 		p.mReloadRejected.Inc()
 		logger.Warn("config reload rejected; active config unchanged",
 			"component", "confwatch", "err", err)
 		return err
 	}
-	old := *p.store().Get()
-	changed := config.Changed(old, next)
-	gen := p.store().Swap(next)
-	p.propagate(old, next)
-	p.store().RecordReload(nil)
+	changed := config.Changed(*p.store.Get(), next)
+	gen := p.store.Swap(next)
+	if lv, lerr := obs.ParseLevel(next.Daemon.LogLevel); lerr == nil {
+		logger.SetLevel(lv)
+	}
+	logger.SetJSON(next.Daemon.LogFormat == "json")
+	p.tracer.SetEnabled(next.Daemon.Tracing)
+	p.gw.SetPolicy(shard.PolicyFromRuntime(next))
+	if p.rumorLim != nil {
+		p.rumorLim.SetLimits(rumorLimits(next))
+	}
+	skipped := p.mgr.ApplyRuntime(next)
+	p.store.RecordReload(nil)
 	p.mReloadApplied.Inc()
 	logger.Info("config reloaded", "component", "confwatch",
-		"generation", gen, "changed", strings.Join(changed, " "))
+		"generation", gen, "changed", strings.Join(changed, " "),
+		"shards_skipped", fmt.Sprint(skipped))
 	return nil
 }
 
-// propagate pushes the hot settings of next into the running daemon.
-// Structural differences were already rejected, so everything here is
-// safe to apply live.
-func (p *pipeline) propagate(old, next config.Runtime) {
-	dm := next.Daemon
-	p.queue.SetCap(dm.QueueCap)
-	p.queue.SetBlock(time.Duration(dm.QueueBlockMS) * time.Millisecond)
-	p.d.budget.Store(dm.HoardBudgetMB << 20)
-	if lv, err := obs.ParseLevel(dm.LogLevel); err == nil {
-		logger.SetLevel(lv)
-	}
-	logger.SetJSON(dm.LogFormat == "json")
-	p.d.tracer.SetEnabled(dm.Tracing)
-	p.applyLimits(next)
-	if paramsChanged(old, next) {
-		// Correlator params need the same exclusion Feed holds; taken only
-		// when a param actually changed so an admission-limit reload never
-		// waits behind a long clustering.
-		p.d.lock()
-		p.d.corr.SetParams(next.Params)
-		p.d.unlock()
-	}
-}
-
-// paramsChanged reports whether any correlator Param differs between
-// old and next. Compared structurally rather than via ParamNames() so
-// knobs outside the paper's named table (the cluster churn threshold)
-// propagate too; SetParams itself decides which differences actually
-// invalidate the cluster cache.
-func paramsChanged(old, next config.Runtime) bool {
-	return old.Params != next.Params
-}
-
-// applyLimits pushes rt's admission section into the endpoint limiters.
-func (p *pipeline) applyLimits(rt config.Runtime) {
-	a := rt.Admit
-	lat := time.Duration(a.MaxLatencyMS) * time.Millisecond
-	ra := time.Duration(a.RetryAfterSec) * time.Second
-	p.planLim.SetLimits(admit.Limits{
-		MaxInFlight: a.PlanMaxInFlight,
-		MaxQueuePct: a.MaxQueuePct,
-		MaxLatency:  lat,
-		RetryAfter:  ra,
-	})
-	p.missLim.SetLimits(admit.Limits{
-		MaxInFlight: a.MissMaxInFlight,
-		MaxLatency:  lat,
-		RetryAfter:  ra,
-	})
-	if p.rumorLim != nil {
-		p.rumorLim.SetLimits(admit.Limits{
-			MaxInFlight: a.RumorMaxInFlight,
-			MaxLatency:  lat,
-			RetryAfter:  ra,
-		})
+// rumorLimits is the embedded replication master's admission policy.
+func rumorLimits(rt config.Runtime) admit.Limits {
+	return admit.Limits{
+		MaxInFlight: rt.Admit.RumorMaxInFlight,
+		MaxLatency:  time.Duration(rt.Admit.MaxLatencyMS) * time.Millisecond,
+		RetryAfter:  time.Duration(rt.Admit.RetryAfterSec) * time.Second,
 	}
 }
 
@@ -144,11 +101,11 @@ func (p *pipeline) handleDebugConfig(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	resp := debugConfigResponse{
-		Generation: p.store().Generation(),
-		ConfigFile: p.cfg.cfgPath,
-		Settings:   config.Describe(*p.store().Get()),
+		Generation: p.store.Generation(),
+		ConfigFile: p.cfgPath,
+		Settings:   config.Describe(*p.store.Get()),
 	}
-	if st := p.store().LastReload(); !st.At.IsZero() {
+	if st := p.store.LastReload(); !st.At.IsZero() {
 		resp.LastReload = &st
 	}
 	w.Header().Set("Content-Type", "application/json")

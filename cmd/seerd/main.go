@@ -1,6 +1,6 @@
-// Command seerd is the SEER daemon for real systems: it consumes strace
-// output (from a file or stdin), maintains the correlator state, and
-// serves hoarding decisions over HTTP.
+// Command seerd is the SEER daemon for real systems: it maintains the
+// correlator state of one or more users and serves hoarding decisions
+// over HTTP.
 //
 // Capture activity with:
 //
@@ -10,35 +10,44 @@
 //
 // then run:
 //
-//	seerd -strace /tmp/seer.strace -listen :7077 -budget 512
+//	seerd -strace /tmp/seer.strace -listen :7077 -budget 512 -shard-dir /var/lib/seer
+//
+// Every seerd is a set of user shards behind a consistent-hash gateway
+// (-shards, default 1). With one shard, the strace input (a file, or
+// stdin) feeds it: a cold bootstrap over the existing trace, then, with
+// -follow, a tailer over appended lines. With more, each user's events
+// arrive through POST /events?user=NAME.
 //
 // Endpoints: /plan (inclusion order), /hoard (chosen files at the
 // budget), /clusters, /stats, /miss?path=... (POST; record a hoard
-// miss and force the file's project into future plans, §4.4), and
-// /healthz + /readyz (JSON health detail). Without -listen, seerd
-// prints the hoard list once and exits. With -debug-addr, a second
-// listener serves net/http/pprof profiles, expvar counters, and the
-// same health endpoints. With -rumor, the CheapRumor replication
-// master (the same wire protocol cmd/rumord serves) is mounted under
-// /rumor/, so laptops can reconcile against the seerd host directly
-// via replic.RemoteRumor.
+// miss and force the file's project into future plans, §4.4), each
+// taking ?user= for routing (optional with one shard); /shards and
+// POST /shards/drain?shard=N; /healthz + /readyz (JSON health detail);
+// /metrics, /debug/traces, /debug/config, /debug/slo. Without -listen,
+// seerd prints the hoard list once and exits. With -debug-addr, a
+// second listener serves net/http/pprof profiles, /shards, and the same
+// health and observability endpoints. With -rumor, the CheapRumor
+// replication master (the same wire protocol cmd/rumord serves) is
+// mounted under /rumor/, so laptops can reconcile against the seerd
+// host directly via replic.RemoteRumor.
 //
-// Supervision: in serving mode every stage — strace tailer, correlator
-// feeder, checkpointer, HTTP listeners — runs under a supervisor that
-// captures panics and restarts the stage with exponential backoff and
-// jitter; a stage that keeps failing trips a circuit breaker and flips
-// overall health (healthy → degraded → unavailable) instead of
-// crash-looping. The tailer hands events to the feeder through a
-// bounded queue (block briefly, then shed-oldest with a drop counter),
-// so a wedged clustering can never stall the tail loop, and /plan and
-// /hoard fall back to the last-good plan (X-Seer-Stale: true) when a
-// fresh one cannot be built before the deadline.
+// Supervision: every stage — each shard's feeder and checkpointer, the
+// strace tailer, the HTTP listeners, the config watcher — runs under a
+// supervisor that captures panics and restarts the stage with
+// exponential backoff and jitter; a stage that keeps failing trips a
+// circuit breaker and flips health (healthy → degraded → unavailable)
+// instead of crash-looping. Ingestion reaches a shard's feeder through
+// a bounded queue (block briefly, then shed-oldest with a drop
+// counter), so a wedged clustering can never stall the tail loop, and
+// /plan and /hoard fall back to the last-good plan (X-Seer-Stale: true)
+// when a fresh one cannot be built before the deadline.
 //
-// Durability: with -db, the database is restored at startup through a
-// recovery ladder (snapshot, then its .bak rotation, then a fresh
-// database — corruption is logged, never fatal), checkpointed
-// atomically with fsync while following, and checkpointed a final time
-// on SIGINT/SIGTERM before a graceful HTTP shutdown.
+// Durability: with -shard-dir, each shard restores shard-NNN.db at
+// startup through a recovery ladder (snapshot, then its .bak rotation,
+// then a fresh database — corruption is logged, never fatal),
+// checkpoints atomically with fsync while serving, and writes a final
+// checkpoint when it drains at exit (SIGINT/SIGTERM, or the end of a
+// one-shot run).
 package main
 
 import (
@@ -54,15 +63,13 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/config"
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/obs"
-	"github.com/fmg/seer/internal/strace"
 )
 
 func main() {
 	// Every tunable is one knob in internal/config's declarative table;
-	// RegisterFlags turns the seerd subset into the historical flags, and
-	// the same names work as `key value` lines in the -config file.
+	// RegisterFlags turns the seerd subset into flags, and the same names
+	// work as `key value` lines in the -config file.
 	rt := config.DefaultRuntime()
 	config.RegisterFlags(flag.CommandLine, &rt, config.ForSeerd)
 	cfgPath := flag.String("config", "",
@@ -101,96 +108,89 @@ func main() {
 	logger.SetLevel(lv)
 	logger.SetJSON(rt.Daemon.LogFormat == "json")
 
-	// Multi-tenant mode: N fault-isolated user shards behind the
-	// gateway. Events arrive per user via POST /events, not a local
-	// strace tail, so the single-tenant bootstrap below is skipped.
-	if rt.Daemon.Shards > 0 {
-		runSharded(rt, base, *cfgPath, cfgData)
-		return
-	}
+	os.Exit(run(pipelineConfig{rt: rt, base: base, cfgPath: *cfgPath, cfgData: cfgData}))
+}
 
-	var in io.Reader = os.Stdin
-	if rt.Daemon.Strace != "-" {
-		f, err := os.Open(rt.Daemon.Strace)
-		if err != nil {
-			logger.Error("cannot open strace file", "path", rt.Daemon.Strace, "err", err)
-			os.Exit(1)
+// run opens the shards, bootstraps a single slot from the strace input,
+// then either prints its hoard once (no -listen) or serves until a
+// signal. Every path ends in Manager.Close, whose drains write each
+// shard's final checkpoint; a failed one makes the exit status 1, so a
+// supervisor or script can tell that learned state was lost. It returns
+// the exit status.
+func run(cfg pipelineConfig) int {
+	d := cfg.rt.Daemon
+	if d.Listen == "" && d.Shards > 1 {
+		fmt.Fprintln(os.Stderr, "seerd: -shards above 1 requires -listen (events arrive through POST /events)")
+		return 2
+	}
+	if d.ShardDir != "" {
+		if err := os.MkdirAll(d.ShardDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "seerd: shard-dir: %v\n", err)
+			return 1
 		}
-		defer f.Close()
-		in = f
 	}
-
-	opts := core.Options{Seed: 1, Params: &rt.Params}
-	dbPath := rt.Daemon.DB
-	listen := rt.Daemon.Listen
-	d := newDaemon(restoreDB(dbPath, opts), rt.Daemon.HoardBudgetMB<<20)
+	// Only a single slot reads the strace input; with more, events
+	// arrive per user over HTTP and stdin is never touched.
+	var in io.Reader
+	if d.Shards == 1 {
+		in = os.Stdin
+		if d.Strace != "-" {
+			f, err := os.Open(d.Strace)
+			if err != nil {
+				logger.Error("cannot open strace file", "path", d.Strace, "err", err)
+				return 1
+			}
+			defer f.Close()
+			in = f
+		}
+	} else if d.Strace != "-" {
+		logger.Warn("-strace is ignored with more than one shard; POST /events feeds them",
+			"path", d.Strace)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// Bootstrap: one cold pass over the existing trace, recorded as its
-	// own ingestion trace so /debug/traces shows the cold load next to
-	// the follow batches. A signal during a large read stops it
-	// promptly; whatever was learned up to that point is still
-	// checkpointed below before a clean exit.
-	parser := strace.NewParser()
-	interrupted := false
-	tid := d.tracer.NewTrace()
-	sp := d.tracer.StartSpan(tid, "ingest").Attr("source", "bootstrap")
-	var bootN int64
-	err := feedLines(ctx, in, maxLineLen, func(line string) {
-		if ev, ok := parser.ParseLine(line); ok {
-			bootN++
-			d.corr.Feed(ev)
-		}
-	})
-	sp.AttrInt("events", bootN).End()
-	d.setTrace(tid)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			logger.Warn("interrupted during bootstrap; continuing",
-				"events", d.corr.Events())
-			interrupted = true
-		} else {
-			// A bad input stream costs the unread tail, not the
-			// accumulated database: keep going with what was learned.
-			logger.Warn("bootstrap read failed; continuing",
-				"err", err, "events", d.corr.Events())
-		}
+	p := newPipeline(cfg)
+	code := serve(ctx, p, in)
+	if err := p.close(); err != nil {
+		logger.Error("final checkpoint failed", "err", err)
+		return 1
 	}
+	return code
+}
 
-	if dbPath != "" {
-		if err := saveDB(d, dbPath); err != nil {
-			logger.Error("checkpoint failed", "path", dbPath, "err", err)
-			if listen == "" {
-				os.Exit(1)
-			}
+// serve is run between opening the shards and closing them: bootstrap
+// from in (nil with more than one shard), then print the hoard once or
+// serve until ctx ends. It returns the exit status.
+func serve(ctx context.Context, p *pipeline, in io.Reader) int {
+	d := p.store.Get().Daemon
+	if in != nil {
+		// A signal during a large read stops it promptly; whatever was
+		// learned up to that point is still checkpointed by the drain.
+		err := p.bootstrap(ctx, in)
+		switch {
+		case errors.Is(err, context.Canceled):
+			logger.Warn("interrupted during bootstrap; exiting", "events", p.mgr.Shard(0).Events())
+			return 0
+		case err != nil:
+			// A bad input stream or a failed feeder costs the unread tail,
+			// not the accumulated database: keep going with what was
+			// learned.
+			logger.Warn("bootstrap stopped early; continuing",
+				"err", err, "events", p.mgr.Shard(0).Events())
 		}
 	}
-	if interrupted {
-		return
+
+	if d.Listen == "" {
+		body, _, err := p.mgr.Shard(0).Hoard(context.Background())
+		if err != nil {
+			logger.Error("hoard unavailable", "err", err)
+			return 1
+		}
+		os.Stdout.Write(body)
+		return 0
 	}
 
-	if listen == "" {
-		d.printHoard(os.Stdout)
-		return
-	}
-
-	p := newPipeline(d, pipelineConfig{
-		store:   config.NewStore(rt),
-		base:    base,
-		cfgPath: *cfgPath,
-		cfgData: cfgData,
-
-		stracePath: rt.Daemon.Strace,
-		follow:     rt.Daemon.Follow,
-		dbPath:     dbPath,
-		listen:     listen,
-		debugAddr:  rt.Daemon.DebugAddr,
-		queueCap:   rt.Daemon.QueueCap,
-		queueBlock: time.Duration(rt.Daemon.QueueBlockMS) * time.Millisecond,
-		rumor:      rt.Daemon.Rumor,
-	})
 	// SIGHUP forces an immediate config-file check, the conventional
 	// "reload now" signal alongside the steady poll.
 	hup := make(chan os.Signal, 1)
@@ -206,23 +206,14 @@ func main() {
 	for i := 0; i < 100 && p.addr() == ""; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	logger.Info("serving", "events", d.corr.Events(), "addr", p.addr(),
-		"trace", tid.String())
-	if rt.Daemon.DebugAddr != "" {
+	logger.Info("serving", "shards", d.Shards, "events", p.mgr.Shard(0).Events(),
+		"addr", p.addr(), "shard_dir", d.ShardDir)
+	if d.DebugAddr != "" {
 		logger.Info("debug endpoints up", "addr", p.debugAddr())
 	}
 
 	<-ctx.Done()
 	logger.Info("signal received, shutting down")
 	p.wait()
-	p.drain()
-	// Graceful exit: one final checkpoint so nothing learned since the
-	// last periodic save is lost.
-	if dbPath != "" {
-		if err := saveDB(d, dbPath); err != nil {
-			logger.Error("final checkpoint failed", "path", dbPath, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("final checkpoint saved", "path", dbPath)
-	}
+	return 0
 }

@@ -1,16 +1,13 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/obs"
-	"github.com/fmg/seer/internal/supervise"
 )
 
 // scrapeMetrics fetches base/metrics and parses the exposition into a
@@ -28,67 +25,108 @@ func scrapeMetrics(t *testing.T, client *http.Client, base string) map[string]fl
 	return vals
 }
 
+// spanJSON is the part of a /debug/traces span the tests read.
+type spanJSON struct {
+	Trace  string `json:"trace"`
+	Span   string `json:"span"`
+	Parent string `json:"parent"`
+	Stage  string `json:"stage"`
+}
+
+// traceSpans fetches /debug/traces, filtered to one trace when tid is
+// non-empty.
+func traceSpans(t *testing.T, client *http.Client, base, tid string) []spanJSON {
+	t.Helper()
+	url := base + "/debug/traces"
+	if tid != "" {
+		url += "?trace=" + tid
+	}
+	_, _, body := httpGet(t, client, url)
+	var spans []spanJSON
+	if err := json.Unmarshal([]byte(body), &spans); err != nil {
+		t.Fatalf("bad /debug/traces JSON: %v\n%s", err, body)
+	}
+	return spans
+}
+
+// stagesOf returns the set of span stages in spans.
+func stagesOf(spans []spanJSON) map[string]bool {
+	out := map[string]bool{}
+	for _, s := range spans {
+		out[s.Stage] = true
+	}
+	return out
+}
+
 // TestTraceFollowsBatchToPlan pins the end-to-end tracing contract: a
 // trace id assigned at strace ingestion is retrievable at /debug/traces
-// after the plan is built, with ingest, feed, and plan spans joined
-// under that id. It also smoke-checks that the /metrics exposition on
-// the main listener carries the core series the README documents.
+// with the tail batch's root, ingest, and feed spans joined under it,
+// and a /plan roots its own gateway trace — echoed in X-Seer-Trace —
+// with its attempt and plan spans. It also smoke-checks that the
+// /metrics exposition on the main listener carries the core series the
+// README documents.
 func TestTraceFollowsBatchToPlan(t *testing.T) {
 	oldPoll := followPoll
 	followPoll = 5 * time.Millisecond
-	defer func() { followPoll = oldPoll }()
+	// Cleanup, not defer: registered before startTestPipeline's cleanup,
+	// so the tailer has stopped before the global is restored.
+	t.Cleanup(func() { followPoll = oldPoll })
 
 	dir := t.TempDir()
 	path := dir + "/seer.strace"
 	appendLine(t, path, "seed line before follow\n")
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p := newPipeline(d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-		listen:     "127.0.0.1:0",
-		rumor:      true,
-		supervisor: supervise.Config{
-			Backoff: supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2},
-		},
-	})
-	shutdown, client := startPipeline(t, p)
-	defer shutdown()
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.Rumor = true
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
 	base := "http://" + p.addr()
 
 	// One ingestion batch: the tailer reads these lines in one burst and
-	// closes the batch at the next EOF pause, publishing its trace id.
+	// closes the batch's root span at the next EOF pause.
 	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	for i := 0; i < 5; i++ {
 		appendLine(t, path, chaosLine(i))
 	}
-	waitEvents(t, d, 3)
-	waitFor(t, "ingestion batch trace id", func() bool { return d.trace() != 0 })
-	tid := d.trace()
+	waitEvents(t, p, 3)
 
-	if code, _, _ := httpGet(t, client, base+"/plan"); code != 200 {
-		t.Fatalf("/plan: code=%d", code)
-	}
-
-	// The trace id from ingestion must now resolve at /debug/traces to
-	// the full pipeline: ingest (tailer) → feed (correlator) → plan.
-	var spans []struct {
-		Trace string `json:"trace"`
-		Stage string `json:"stage"`
-	}
-	waitFor(t, "ingest+feed+plan spans under one trace", func() bool {
-		_, _, body := httpGet(t, client, base+"/debug/traces?trace="+tid.String())
-		if err := json.Unmarshal([]byte(body), &spans); err != nil {
-			return false
+	// The batch's trace id resolves to the full ingestion path: the
+	// tailer's root, the shard's ingest, and the feeder's feed spans.
+	var tid string
+	waitFor(t, "tail batch root span", func() bool {
+		for _, s := range traceSpans(t, client, base, "") {
+			if s.Stage == "tail" {
+				tid = s.Trace
+				return true
+			}
 		}
-		stages := map[string]bool{}
+		return false
+	})
+	waitFor(t, "tail+ingest+feed spans under one trace", func() bool {
+		spans := traceSpans(t, client, base, tid)
 		for _, s := range spans {
-			if s.Trace != tid.String() {
+			if s.Trace != tid {
 				t.Fatalf("span of trace %s in filtered response for %s", s.Trace, tid)
 			}
-			stages[s.Stage] = true
 		}
-		return stages["ingest"] && stages["feed"] && stages["plan"]
+		st := stagesOf(spans)
+		return st["tail"] && st["ingest"] && st["feed"]
+	})
+
+	// /plan roots its own trace at the gateway edge.
+	code, hdr, _ := httpGet(t, client, base+"/plan")
+	if code != 200 {
+		t.Fatalf("/plan: code=%d", code)
+	}
+	planTrace := hdr.Get("X-Seer-Trace")
+	if planTrace == "" || planTrace == tid {
+		t.Fatalf("/plan trace %q, want its own trace apart from ingestion %s", planTrace, tid)
+	}
+	waitFor(t, "gateway:plan+attempt+plan spans under the request trace", func() bool {
+		st := stagesOf(traceSpans(t, client, base, planTrace))
+		return st["gateway:plan"] && st["attempt"] && st["plan"]
 	})
 
 	// Core series present on the main listener (the acceptance check
@@ -98,7 +136,7 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 		"seer_events_ingested_total",
 		"seer_cluster_duration_seconds_count",
 		"seer_hoard_misses_total",
-		"seer_queue_depth",
+		`seer_queue_depth{shard="0"}`,
 		"seer_plans_built_total",
 		"seer_rumor_files", // replication series via -rumor
 	} {
@@ -118,34 +156,4 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	if stageSeries == 0 {
 		t.Error("/metrics has no seer_stage_restarts_total series")
 	}
-}
-
-// startPipeline launches p and waits for its main listener to bind.
-// The returned shutdown must run via defer (not t.Cleanup) so it
-// precedes the caller's own deferred global restores.
-func startPipeline(t *testing.T, p *pipeline) (shutdown func(), client *http.Client) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	p.start(ctx)
-	client = &http.Client{Timeout: 10 * time.Second}
-	shutdown = func() {
-		client.CloseIdleConnections()
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("pipeline did not shut down")
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if p.addr() == "" {
-		shutdown()
-		t.Fatal("listener never bound")
-	}
-	return shutdown, client
 }

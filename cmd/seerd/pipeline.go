@@ -1,9 +1,18 @@
 package main
 
+// seerd's supervised runtime. Every deployment is a shard.Manager behind
+// the consistent-hash gateway (internal/shard): -shards N hosts N
+// fault-isolated user shards, and the default single slot is the
+// paper's one-user daemon, fed from its strace input. Each shard owns
+// its bounded queue, correlator with its warm cluster cache, admission
+// limiter, health probes, and snapshot ladder; this file owns the
+// process-level stages around them — the HTTP listeners, the strace
+// tailer (one slot only), the config watcher, and the SLO monitor —
+// plus the embedded -rumor master and the flight recorder.
+
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -11,7 +20,6 @@ import (
 	"net/http/pprof"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/fmg/seer/internal/admit"
@@ -19,111 +27,76 @@ import (
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/obs/slo"
 	"github.com/fmg/seer/internal/replic"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
-	"github.com/fmg/seer/internal/trace"
 )
 
-// queuedEvent is one parsed strace event in flight between the tailer
-// and the feeder, carrying the ingestion-batch trace id it belongs to.
-type queuedEvent struct {
-	ev  trace.Event
-	tid obs.TraceID
-}
+// logger is the process logger; main() applies -log-level/-log-format
+// to it, and every component derives a tagged child from it.
+var logger = obs.NewLogger(nil)
 
-// pipelineConfig wires a supervised daemon.
+// checkpointEvery is the default snapshot interval of every shard.
+const checkpointEvery = 5 * time.Minute
+
+// Variables so the tests can tighten them without waiting out
+// production windows.
+var (
+	// confPollEvery is the config-file poll interval.
+	confPollEvery = time.Second
+	// SLO shape: the latency above which a request is "bad" for its
+	// objective, and the promised good fraction.
+	sloPlanLatency  = 500 * time.Millisecond
+	sloRumorLatency = 250 * time.Millisecond
+	sloTarget       = 0.99
+)
+
+// pipelineConfig wires a pipeline.
 type pipelineConfig struct {
-	stracePath string
-	follow     bool
-	dbPath     string
-	listen     string
-	debugAddr  string
-
-	// store holds the active Runtime (nil = synthesize one from the
-	// legacy fields above, which tests still use); base is the
-	// flag-derived runtime a reload re-parses the config file over, and
-	// cfgPath/cfgData are the watched file and its startup contents
-	// (cfgPath "" = no watcher stage).
-	store   *config.Store
+	// rt is the startup runtime; base is the flag-derived runtime a
+	// reload re-parses the config file over, so removing a file line
+	// reverts that setting; cfgPath/cfgData are the watched file and its
+	// startup contents (cfgPath "" = no watcher stage).
+	rt      config.Runtime
 	base    config.Runtime
 	cfgPath string
 	cfgData []byte
 
-	// queueCap bounds the tailer→feeder event queue; queueBlock is how
-	// long an overflowing Put blocks before shedding the oldest event.
-	queueCap   int
-	queueBlock time.Duration
-
-	// rumor mounts the CheapRumor replication-master endpoints under
-	// /rumor/ on the main mux, so one daemon can serve both hoarding
-	// decisions and the replication substrate.
-	rumor bool
-
+	// checkpointEvery (0 = the default) and supervisor tune every
+	// shard's tree; supervisor also tunes the process tree.
 	checkpointEvery time.Duration
 	supervisor      supervise.Config
 }
 
-func (c pipelineConfig) withDefaults() pipelineConfig {
-	if c.queueCap <= 0 {
-		c.queueCap = 8192
-	}
-	if c.queueBlock <= 0 {
-		c.queueBlock = 100 * time.Millisecond
-	}
-	if c.checkpointEvery <= 0 {
-		c.checkpointEvery = checkpointEvery
-	}
-	return c
-}
-
-// ckptDegradedAfter is how many consecutive checkpoint failures turn
-// the checkpoint probe degraded.
-const ckptDegradedAfter = 3
-
-// planDegradedAfter is how many consecutive failed/stale plan builds
-// turn the plan probe degraded.
-const planDegradedAfter = 2
-
-// pipeline is the supervised runtime of seerd: the tailer, feeder,
-// checkpointer, and HTTP listener stages, the bounded ingestion queue
-// between tailer and feeder, and the health probes derived from them.
+// pipeline is seerd: the shard manager and gateway plus the process
+// stages. The shards supervise themselves; the process supervisor sees
+// them through its "shards" probe.
 type pipeline struct {
-	d     *daemon
-	cfg   pipelineConfig
-	sup   *supervise.Supervisor
-	queue *supervise.Queue[queuedEvent]
+	mgr *shard.Manager
+	gw  *shard.Gateway
+	sup *supervise.Supervisor
 
-	// watcher polls the config file for hot reloads (nil without
-	// -config); limits/planLim/missLim/rumorLim admission-control the
-	// decision endpoints, and the reload counters drive
-	// seer_config_reloads_total.
-	watcher         *supervise.Watcher
-	limits          *admit.Set
-	planLim         *admit.Limiter
-	missLim         *admit.Limiter
-	rumorLim        *admit.Limiter
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	// rumor is the upstream replication client (-rumor-url); master and
+	// rumorLim serve the embedded replication master (-rumor). Each is
+	// nil when its flag is off.
+	rumor    *replic.RemoteRumor
+	master   *replic.Master
+	rumorLim *admit.Limiter
+	slo      *slo.Monitor
+	flight   *obs.FlightRecorder
+
+	store   *config.Store
+	base    config.Runtime
+	cfgPath string
+	watcher *supervise.Watcher
+
 	mReloadApplied  *obs.Counter
 	mReloadRejected *obs.Counter
 
-	// master is the replication master served under /rumor/ when
-	// cfg.rumor is set; nil otherwise.
-	master *replic.Master
-
-	// slo watches the decision endpoints' error budgets; flight is the
-	// postmortem-bundle recorder (nil without -flight-dir).
-	slo    *slo.Monitor
-	flight *obs.FlightRecorder
-
-	// Test/chaos hooks, all optional: wrapTail decorates the tail file
-	// reader, feed consumes one event (default: correlator under the
-	// daemon lock), save checkpoints the database (default: saveDB).
+	// wrapTail, when set, decorates the tailer's file reader (the chaos
+	// tests' stall and panic injection point).
 	wrapTail func(io.Reader) io.Reader
-	feed     func(ev trace.Event)
-	save     func() error
-
-	// ckptFailures counts consecutive checkpoint failures; lastCkptOK
-	// is the unix-nano time of the last success (0 = never).
-	ckptFailures atomic.Int64
-	lastCkptOK   atomic.Int64
 
 	// httpAddr/debugHTTPAddr hold the bound listener addresses once the
 	// server stages are up (tests listen on :0).
@@ -132,50 +105,50 @@ type pipeline struct {
 	debugHTTPAddr net.Addr
 }
 
-// newPipeline builds the supervised stage tree around d. Call start to
-// launch it.
-func newPipeline(d *daemon, cfg pipelineConfig) *pipeline {
-	cfg = cfg.withDefaults()
-	if cfg.store == nil {
-		// Legacy construction (tests): synthesize the Runtime the
-		// explicit fields describe so /debug/config and reloads see the
-		// same picture either way.
-		rt := config.DefaultRuntime()
-		rt.Params = d.corr.Params()
-		rt.Daemon.Strace = cfg.stracePath
-		rt.Daemon.Listen = cfg.listen
-		rt.Daemon.DebugAddr = cfg.debugAddr
-		rt.Daemon.DB = cfg.dbPath
-		rt.Daemon.Follow = cfg.follow
-		rt.Daemon.Rumor = cfg.rumor
-		rt.Daemon.QueueCap = cfg.queueCap
-		rt.Daemon.QueueBlockMS = int(cfg.queueBlock / time.Millisecond)
-		rt.Daemon.HoardBudgetMB = d.budget.Load() >> 20
-		cfg.base = rt
-		cfg.store = config.NewStore(rt)
+// newPipeline opens the shards and builds the process stage tree. Call
+// start to serve, and close to drain every shard to its final
+// checkpoint.
+func newPipeline(cfg pipelineConfig) *pipeline {
+	rt := cfg.rt
+	if cfg.checkpointEvery <= 0 {
+		cfg.checkpointEvery = checkpointEvery
 	}
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(256)
+	tracer.SetEnabled(rt.Daemon.Tracing)
 	p := &pipeline{
-		d:     d,
-		cfg:   cfg,
-		queue: supervise.NewQueue[queuedEvent](cfg.queueCap, cfg.queueBlock),
+		reg:     reg,
+		tracer:  tracer,
+		store:   config.NewStore(rt),
+		base:    cfg.base,
+		cfgPath: cfg.cfgPath,
 	}
-	rt := *cfg.store.Get()
-	d.tracer.SetEnabled(rt.Daemon.Tracing)
+	if rt.Daemon.RumorURL != "" {
+		p.rumor = replic.NewRemoteRumor(rt.Daemon.RumorURL, nil).
+			InstrumentOn(reg).TraceOn(tracer)
+	}
+	// The shards outlive the process stages: close drains them after the
+	// listeners and the tailer have stopped.
+	p.mgr = shard.NewManager(context.Background(), shard.ManagerConfig{
+		Shards:          rt.Daemon.Shards,
+		Dir:             rt.Daemon.ShardDir,
+		Runtime:         rt,
+		Seed:            1,
+		Metrics:         reg,
+		Tracer:          tracer,
+		Logger:          logger,
+		Supervisor:      cfg.supervisor,
+		CheckpointEvery: cfg.checkpointEvery,
+		Rumor:           p.rumor,
+	})
+	p.gw = shard.NewGateway(p.mgr, shard.PolicyFromRuntime(rt))
+	if rt.Daemon.Rumor {
+		p.master = replic.NewMasterOn(reg)
+		p.rumorLim = admit.New("rumor", reg, nil)
+		p.rumorLim.SetLimits(rumorLimits(rt))
+	}
 	p.buildFlight(rt)
 	p.buildSLO(rt)
-	p.limits = admit.NewSet()
-	p.planLim = p.limits.Add("plan", d.reg, p.queue.FillPct)
-	p.missLim = p.limits.Add("miss", d.reg, nil)
-	if cfg.rumor {
-		p.rumorLim = p.limits.Add("rumor", d.reg, nil)
-	}
-	p.applyLimits(*cfg.store.Get())
-	p.feed = func(ev trace.Event) {
-		d.lock()
-		d.corr.Feed(ev)
-		d.unlock()
-	}
-	p.save = func() error { return saveDB(d, cfg.dbPath) }
 
 	sc := cfg.supervisor
 	if sc.OnEvent == nil {
@@ -183,7 +156,7 @@ func newPipeline(d *daemon, cfg pipelineConfig) *pipeline {
 		sc.OnEvent = func(e supervise.Event) {
 			if e.Err != nil {
 				slog.Error("stage failure", "stage", e.Stage, "kind", e.Kind,
-					"err", firstLine(e.Err.Error()))
+					"err", supervise.FirstLine(e.Err.Error()))
 			} else {
 				slog.Info("stage lifecycle", "stage", e.Stage, "kind", e.Kind,
 					"restarts", e.Restarts)
@@ -191,23 +164,18 @@ func newPipeline(d *daemon, cfg pipelineConfig) *pipeline {
 		}
 	}
 	p.sup = supervise.New(sc)
-	d.sup = p.sup
-
 	var stages []string
 	addStage := func(name string, fn supervise.StageFunc, opts ...supervise.StageOption) {
 		p.sup.Add(name, fn, opts...)
 		stages = append(stages, name)
 	}
-	if cfg.follow && cfg.stracePath != "-" {
+	if rt.Daemon.Shards == 1 && rt.Daemon.Follow && rt.Daemon.Strace != "-" {
 		addStage("tailer", p.tailStage)
 	}
-	addStage("feeder", p.feedStage)
-	if cfg.dbPath != "" {
-		addStage("checkpointer", p.checkpointStage)
-	}
-	addStage("http", p.serverStage(cfg.listen, p.mainMux(), &p.httpAddr), supervise.Critical())
-	if cfg.debugAddr != "" {
-		addStage("debug", p.serverStage(cfg.debugAddr, p.debugMux(), &p.debugHTTPAddr))
+	addStage("http", p.serverStage(rt.Daemon.Listen, p.mainMux(), &p.httpAddr),
+		supervise.Critical())
+	if rt.Daemon.DebugAddr != "" {
+		addStage("debug", p.serverStage(rt.Daemon.DebugAddr, p.debugMux(), &p.debugHTTPAddr))
 	}
 	if cfg.cfgPath != "" {
 		p.watcher = supervise.NewWatcher(cfg.cfgPath, confPollEvery, p.applyConfig)
@@ -225,63 +193,54 @@ func newPipeline(d *daemon, cfg pipelineConfig) *pipeline {
 		}
 		return supervise.Probe{State: supervise.Healthy}
 	})
+	p.sup.AddProbe("shards", p.shardsProbe)
 	p.registerMetrics(stages)
-
-	p.sup.AddProbe("queue", func() supervise.Probe {
-		depth, capacity := p.queue.Len(), p.queue.Cap()
-		st := supervise.Healthy
-		if depth*10 >= capacity*9 {
-			st = supervise.Degraded
-		}
-		return supervise.Probe{
-			State:  st,
-			Detail: fmt.Sprintf("depth=%d/%d drops=%d", depth, capacity, p.queue.Drops()),
-		}
-	})
-	if cfg.dbPath != "" {
-		p.sup.AddProbe("checkpoint", func() supervise.Probe {
-			fails := p.ckptFailures.Load()
-			st := supervise.Healthy
-			if fails >= ckptDegradedAfter {
-				st = supervise.Degraded
-			}
-			detail := fmt.Sprintf("consecutive_failures=%d", fails)
-			if at := p.lastCkptOK.Load(); at > 0 {
-				detail += fmt.Sprintf(" last_success_age=%s", time.Since(time.Unix(0, at)).Round(time.Second))
-			}
-			return supervise.Probe{State: st, Detail: detail}
-		})
-	}
-	p.sup.AddProbe("admission", func() supervise.Probe {
-		hit, names := p.limits.ShedRecently(admitShedWindow)
-		if hit {
-			return supervise.Probe{State: supervise.Degraded,
-				Detail: "shedding on " + strings.Join(names, ",")}
-		}
-		return supervise.Probe{State: supervise.Healthy, Detail: "no recent shedding"}
-	})
-	p.sup.AddProbe("plan", func() supervise.Probe {
-		fails := d.planFails.Load()
-		st := supervise.Healthy
-		if fails >= planDegradedAfter {
-			st = supervise.Degraded
-		}
-		detail := fmt.Sprintf("consecutive_failures=%d stale_served=%d", fails, d.staleServed.Load())
-		if at := d.planOKAt.Load(); at > 0 {
-			detail += fmt.Sprintf(" last_fresh_age=%s", time.Since(time.Unix(0, at)).Round(time.Second))
-		}
-		return supervise.Probe{State: st, Detail: detail}
-	})
 	return p
 }
 
-// store returns the active-config store (always set after newPipeline).
-func (p *pipeline) store() *config.Store { return p.cfg.store }
+// shardsProbe folds the shards into the process health: the manager's
+// bulkhead verdict, detailed per slot with each unhealthy shard's
+// failing stages and probes.
+func (p *pipeline) shardsProbe() supervise.Probe {
+	detail := make([]string, 0, p.mgr.Len())
+	for _, info := range p.mgr.Report() {
+		d := fmt.Sprintf("%d:%s/%s", info.Shard, info.State, info.Health)
+		if len(info.Problems) > 0 {
+			d += " [" + strings.Join(info.Problems, "; ") + "]"
+		}
+		detail = append(detail, d)
+	}
+	return supervise.Probe{State: p.mgr.Health(), Detail: strings.Join(detail, ", ")}
+}
+
+// registerMetrics publishes the process-level series; the shard
+// families register in internal/shard.
+func (p *pipeline) registerMetrics(stages []string) {
+	reg := p.reg
+	restarts := reg.CounterFuncVec("seer_stage_restarts_total",
+		"Stage restarts performed by the process supervisor.", "stage")
+	for _, name := range stages {
+		name := name
+		restarts.Register(func() float64 {
+			return float64(p.sup.StageRestarts()[name])
+		}, name)
+	}
+	reloads := reg.CounterVec("seer_config_reloads_total",
+		"Config hot-reload attempts by result.", "result")
+	p.mReloadApplied = reloads.With("applied")
+	p.mReloadRejected = reloads.With("rejected")
+	reg.GaugeFunc("seer_config_generation",
+		"Active config generation (1 = the startup configuration).",
+		func() float64 { return float64(p.store.Generation()) })
+	reg.GaugeFunc("seer_health_state",
+		"Aggregate process health, shards included (0 healthy, 1 degraded, 2 unavailable).",
+		func() float64 { return float64(p.sup.Health()) })
+}
 
 // buildFlight wires the flight recorder (nil when flight-dir is unset):
-// bundles carry the span ring, a metrics snapshot, and the active
-// config generation, plus the goroutine dump and CPU profile the
-// recorder itself contributes.
+// bundles carry the span ring, a metrics snapshot, the active config
+// generation, and the shard states, plus the goroutine dump and CPU
+// profile the recorder itself contributes.
 func (p *pipeline) buildFlight(rt config.Runtime) {
 	if rt.Daemon.FlightDir == "" {
 		return
@@ -290,23 +249,29 @@ func (p *pipeline) buildFlight(rt config.Runtime) {
 	if rt.Daemon.FlightMinIntervalSec > 0 {
 		fr.MinInterval = time.Duration(rt.Daemon.FlightMinIntervalSec) * time.Second
 	}
-	fr.AddSource("traces.json", p.d.tracer.WriteJSON)
-	fr.AddSource("metrics.prom", p.d.reg.WritePrometheus)
+	fr.AddSource("traces.json", p.tracer.WriteJSON)
+	fr.AddSource("metrics.prom", p.reg.WritePrometheus)
 	fr.AddSource("config.txt", func(w io.Writer) error {
-		fmt.Fprintf(w, "# generation %d\n", p.store().Generation())
-		for _, kv := range config.Describe(*p.store().Get()) {
+		fmt.Fprintf(w, "# generation %d\n", p.store.Generation())
+		for _, kv := range config.Describe(*p.store.Get()) {
 			fmt.Fprintf(w, "%s %s\n", kv.Key, kv.Value)
 		}
 		return nil
 	})
+	fr.AddSource("shards.json", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(p.mgr.Report())
+	})
 	p.flight = fr
 }
 
-// buildSLO assembles the burn-rate monitor over the decision endpoints.
-// Stale serves are the error events: a stale response means the fresh
-// path failed, so it burns budget even though the client got bytes.
-// The stale counter is shared across plan and hoard, so a burn on one
-// conservatively shows on both.
+// buildSLO assembles the burn-rate monitor over the gateway's request
+// histograms (plus the rumor client's, when configured) and hooks a
+// breach to an automatic flight capture. Bad events are route errors
+// plus stale serves: a stale answer means the fresh path failed, so it
+// burns budget even though the client got bytes. The stale count is
+// process-wide, so a burn on one endpoint conservatively shows on both.
 func (p *pipeline) buildSLO(rt config.Runtime) {
 	cfg := slo.Config{
 		FastWindow: time.Duration(rt.Daemon.SLOFastWindowSec) * time.Second,
@@ -324,12 +289,17 @@ func (p *pipeline) buildSLO(rt config.Runtime) {
 		}
 	}
 	mon := slo.New(cfg)
-	staleErrs := func() uint64 { return p.d.mStaleServed.Value() }
 	for _, ep := range []string{"plan", "hoard"} {
-		mon.Add(slo.LatencyObjective(ep, p.d.mLatency.With(ep),
-			sloPlanLatency.Seconds(), sloTarget, staleErrs))
+		ep := ep
+		mon.Add(slo.LatencyObjective(ep, p.gw.RequestHist(ep),
+			sloPlanLatency.Seconds(), sloTarget,
+			func() uint64 { return p.gw.RouteErrors(ep) + p.mgr.StaleServed() }))
 	}
-	mon.InstrumentOn(p.d.reg)
+	if p.rumor != nil {
+		mon.Add(slo.LatencyObjective("rumor-sync", p.rumor.RTTHist(),
+			sloRumorLatency.Seconds(), sloTarget, p.rumor.ErrorCount))
+	}
+	mon.InstrumentOn(p.reg)
 	p.slo = mon
 }
 
@@ -347,93 +317,48 @@ func (p *pipeline) handleDebugSLO(w http.ResponseWriter, req *http.Request) {
 	}{p.slo.Threshold(), fast.Seconds(), slow.Seconds(), p.slo.Status()})
 }
 
-// start launches the stage tree; stages stop when ctx ends.
-func (p *pipeline) start(ctx context.Context) {
-	activePipeline.Store(p)
-	publishVarsOnce()
-	p.sup.Start(ctx)
-}
-
-// wait blocks until every stage has stopped.
-func (p *pipeline) wait() { p.sup.Wait() }
-
-// drain moves everything still queued into the correlator; called
-// after the stages have stopped so the final checkpoint includes every
-// event the tailer managed to enqueue.
-func (p *pipeline) drain() {
-	for {
-		qe, ok := p.queue.TryGet()
-		if !ok {
-			return
-		}
-		p.feed(qe.ev)
+// obsEndpoints mounts the observability surface both listeners share,
+// health included: one supervisor report, whose "shards" probe carries
+// the per-slot detail.
+func (p *pipeline) obsEndpoints(mux *http.ServeMux) {
+	mux.HandleFunc("/healthz", p.sup.HealthHandler(false))
+	mux.HandleFunc("/readyz", p.sup.HealthHandler(true))
+	mux.Handle("/metrics", p.reg.Handler())
+	mux.Handle("/debug/traces", p.tracer.Handler())
+	mux.HandleFunc("/debug/config", p.handleDebugConfig)
+	mux.HandleFunc("/debug/slo", p.handleDebugSLO)
+	if p.flight != nil {
+		mux.Handle("/debug/flight", p.flight.Handler())
 	}
 }
 
-// feedStage drains the event queue into the correlator. It holds the
-// daemon lock only per event, so plan requests interleave with
-// ingestion, and the queue absorbs bursts while a clustering runs.
-// Each contiguous run of same-trace events becomes one "feed" span, so
-// a batch's trace shows ingestion and correlation side by side.
-func (p *pipeline) feedStage(ctx context.Context) error {
-	for {
-		qe, ok := p.queue.Get(ctx)
-		if !ok {
-			return nil
-		}
-		var (
-			sp  *obs.ActiveSpan
-			cur obs.TraceID
-			n   int64
-		)
-		end := func() {
-			if sp != nil {
-				sp.AttrInt("events", n).End()
-			}
-			sp, n = nil, 0
-		}
-		for {
-			if sp == nil || qe.tid != cur {
-				end()
-				cur = qe.tid
-				sp = p.d.tracer.StartSpan(cur, "feed")
-			}
-			p.feed(qe.ev)
-			n++
-			next, more := p.queue.TryGet()
-			if !more {
-				break
-			}
-			qe = next
-		}
-		// Queue momentarily empty: close the span rather than letting it
-		// absorb idle time waiting for the next batch.
-		end()
+// mainMux is the gateway surface plus the observability endpoints (the
+// latter never behind routing or admission — an overloaded daemon must
+// stay inspectable) and, with -rumor, the replication master.
+func (p *pipeline) mainMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", p.gw.Handler())
+	p.obsEndpoints(mux)
+	if p.master != nil {
+		mux.Handle("/rumor/", p.rumorLim.Wrap(
+			replic.TracedMasterHandler("/rumor", p.master, p.tracer)))
 	}
+	return mux
 }
 
-// checkpointStage periodically saves the database. Save errors do not
-// kill the stage: they are counted, surfaced through the checkpoint
-// probe (degraded after ckptDegradedAfter consecutive failures), and
-// retried next interval. Panics in the save path bubble to the
-// supervisor like any stage failure.
-func (p *pipeline) checkpointStage(ctx context.Context) error {
-	t := time.NewTicker(p.cfg.checkpointEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-t.C:
-		}
-		if err := p.save(); err != nil {
-			p.ckptFailures.Add(1)
-			logger.Warn("checkpoint failed", "component", "checkpointer", "err", err)
-		} else {
-			p.ckptFailures.Store(0)
-			p.lastCkptOK.Store(time.Now().UnixNano())
-		}
-	}
+// debugMux serves pprof, the /shards view, and the same observability
+// surface. The pprof handlers are registered explicitly on a private
+// mux; nothing is served from the default mux.
+func (p *pipeline) debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/shards", p.gw.HandleShards)
+	p.obsEndpoints(mux)
+	return mux
 }
 
 // serverStage returns a stage running an HTTP server on addr: listen,
@@ -453,7 +378,7 @@ func (p *pipeline) serverStage(addr string, mux *http.ServeMux, out *net.Addr) s
 			Handler:           mux,
 			ReadHeaderTimeout: 10 * time.Second,
 			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      time.Minute,
+			WriteTimeout:      2 * time.Minute,
 			IdleTimeout:       2 * time.Minute,
 		}
 		errc := make(chan error, 1)
@@ -471,220 +396,28 @@ func (p *pipeline) serverStage(addr string, mux *http.ServeMux, out *net.Addr) s
 	}
 }
 
-// addr returns the bound address of the main listener ("" before it is
-// up).
-func (p *pipeline) addr() string {
+// start launches the process stages; they stop when ctx ends.
+func (p *pipeline) start(ctx context.Context) { p.sup.Start(ctx) }
+
+// wait blocks until every process stage has stopped.
+func (p *pipeline) wait() { p.sup.Wait() }
+
+// close drains every shard — stop its stages, fold its queue, write its
+// final checkpoint — once nothing feeds it any more. It returns the
+// shards' drain errors.
+func (p *pipeline) close() error { return p.mgr.Close() }
+
+// addr returns the bound main listener address ("" before it is up).
+func (p *pipeline) addr() string { return p.boundAddr(&p.httpAddr) }
+
+// debugAddr returns the bound debug listener address.
+func (p *pipeline) debugAddr() string { return p.boundAddr(&p.debugHTTPAddr) }
+
+func (p *pipeline) boundAddr(a *net.Addr) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.httpAddr == nil {
+	if *a == nil {
 		return ""
 	}
-	return p.httpAddr.String()
-}
-
-// debugAddr returns the bound address of the debug listener.
-func (p *pipeline) debugAddr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.debugHTTPAddr == nil {
-		return ""
-	}
-	return p.debugHTTPAddr.String()
-}
-
-// mainMux builds the decision-endpoint mux, including the health
-// endpoints so a hoard client can check its daemon without a second
-// listener.
-func (p *pipeline) mainMux() *http.ServeMux {
-	d := p.d
-	mux := http.NewServeMux()
-	// The decision endpoints sit behind admission control; the health,
-	// metrics, and config endpoints deliberately do not — an overloaded
-	// daemon must stay observable.
-	mux.HandleFunc("/plan", p.planLim.WrapFunc(d.handlePlan))
-	mux.HandleFunc("/hoard", p.planLim.WrapFunc(d.handleHoard))
-	mux.HandleFunc("/clusters", p.planLim.WrapFunc(d.handleClusters))
-	mux.HandleFunc("/stats", p.missLim.WrapFunc(d.handleStats))
-	mux.HandleFunc("/miss", p.missLim.WrapFunc(d.handleMiss))
-	mux.HandleFunc("/healthz", p.sup.HealthHandler(false))
-	mux.HandleFunc("/readyz", p.sup.HealthHandler(true))
-	mux.Handle("/metrics", d.reg.Handler())
-	mux.Handle("/debug/traces", d.tracer.Handler())
-	mux.HandleFunc("/debug/config", p.handleDebugConfig)
-	mux.HandleFunc("/debug/slo", p.handleDebugSLO)
-	if p.flight != nil {
-		mux.Handle("/debug/flight", p.flight.Handler())
-	}
-	if p.cfg.rumor {
-		p.master = replic.NewMasterOn(d.reg)
-		mux.Handle("/rumor/", p.rumorLim.Wrap(replic.TracedMasterHandler("/rumor", p.master, d.tracer)))
-	}
-	return mux
-}
-
-// debugMux builds the debug mux: pprof, expvar, and the same health
-// endpoints. The pprof handlers are registered explicitly on a private
-// mux; nothing is served from the default mux.
-func (p *pipeline) debugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/metrics", p.d.reg.Handler())
-	mux.Handle("/debug/traces", p.d.tracer.Handler())
-	mux.HandleFunc("/debug/config", p.handleDebugConfig)
-	mux.HandleFunc("/debug/slo", p.handleDebugSLO)
-	if p.flight != nil {
-		mux.Handle("/debug/flight", p.flight.Handler())
-	}
-	mux.HandleFunc("/healthz", p.sup.HealthHandler(false))
-	mux.HandleFunc("/readyz", p.sup.HealthHandler(true))
-	return mux
-}
-
-// registerMetrics publishes the pipeline-level series: queue occupancy
-// and shedding, per-stage restart counts, and the aggregate health
-// state. All are func-backed, so a scrape reads the live values rather
-// than shadow copies updated on some schedule.
-func (p *pipeline) registerMetrics(stages []string) {
-	reg := p.d.reg
-	reg.GaugeFunc("seer_queue_depth",
-		"Events waiting in the tailer-to-feeder queue.",
-		func() float64 { return float64(p.queue.Len()) })
-	reg.GaugeFunc("seer_queue_capacity",
-		"Capacity of the tailer-to-feeder queue.",
-		func() float64 { return float64(p.queue.Cap()) })
-	reg.CounterFunc("seer_queue_shed_total",
-		"Events shed by the bounded queue under overload.",
-		func() float64 { return float64(p.queue.Drops()) })
-	reg.GaugeFunc("seer_health_state",
-		"Aggregate supervisor health (0 healthy, 1 degraded, 2 unavailable).",
-		func() float64 { return float64(p.sup.Health()) })
-	restarts := reg.CounterFuncVec("seer_stage_restarts_total",
-		"Stage restarts performed by the supervisor.", "stage")
-	for _, name := range stages {
-		name := name
-		restarts.Register(func() float64 {
-			return float64(p.sup.StageRestarts()[name])
-		}, name)
-	}
-	reloads := reg.CounterVec("seer_config_reloads_total",
-		"Config hot-reload attempts by result.", "result")
-	p.mReloadApplied = reloads.With("applied")
-	p.mReloadRejected = reloads.With("rejected")
-	reg.GaugeFunc("seer_config_generation",
-		"Active config generation (1 = the startup configuration).",
-		func() float64 { return float64(p.store().Generation()) })
-}
-
-// activePipeline is the pipeline whose counters the process-global
-// expvars report (expvar registration is once-per-process, but tests
-// start several pipelines).
-var activePipeline atomic.Pointer[pipeline]
-
-var publishOnce sync.Once
-
-// publishVarsOnce registers the daemon's expvar counters: events fed,
-// plans built, cluster-cache hits/misses, rebuild kinds (full vs
-// incremental patch, plus churn fallbacks), last clustering duration,
-// queue depth/drops, stage restarts, and health state.
-func publishVarsOnce() {
-	publishOnce.Do(func() {
-		pget := func() *pipeline { return activePipeline.Load() }
-		expvar.Publish("seer.events_fed", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return 0
-			}
-			p.d.lock()
-			defer p.d.unlock()
-			return p.d.corr.Events()
-		}))
-		expvar.Publish("seer.plans_built", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return 0
-			}
-			return p.d.mPlansBuilt.Value()
-		}))
-		expvar.Publish("seer.cluster_cache", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return nil
-			}
-			p.d.lock()
-			defer p.d.unlock()
-			hits, misses := p.d.corr.CacheStats()
-			return map[string]uint64{"hits": hits, "misses": misses}
-		}))
-		expvar.Publish("seer.cluster_rebuilds", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return nil
-			}
-			p.d.lock()
-			defer p.d.unlock()
-			full, inc, fallbacks := p.d.corr.RebuildStats()
-			return map[string]uint64{
-				"full":            full,
-				"incremental":     inc,
-				"churn_fallbacks": fallbacks,
-			}
-		}))
-		expvar.Publish("seer.last_cluster_ms", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return 0
-			}
-			p.d.lock()
-			defer p.d.unlock()
-			return float64(p.d.corr.LastClusterDuration()) / float64(time.Millisecond)
-		}))
-		expvar.Publish("seer.queue", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return nil
-			}
-			return map[string]any{
-				"depth": p.queue.Len(),
-				"cap":   p.queue.Cap(),
-				"drops": p.queue.Drops(),
-			}
-		}))
-		expvar.Publish("seer.stage_restarts", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return 0
-			}
-			return p.sup.Restarts()
-		}))
-		expvar.Publish("seer.health", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return nil
-			}
-			return p.sup.Health().String()
-		}))
-		expvar.Publish("seer.stale_plans_served", expvar.Func(func() any {
-			p := pget()
-			if p == nil {
-				return 0
-			}
-			return p.d.staleServed.Load()
-		}))
-	})
-}
-
-// firstLine truncates s at its first newline (panic errors carry full
-// stack traces).
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+	return (*a).String()
 }

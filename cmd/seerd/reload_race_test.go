@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/fmg/seer/internal/core"
 )
 
 // TestReloadRaceUnderLoad hammers /plan and /hoard while a writer loop
@@ -21,25 +19,31 @@ import (
 // rejected reloads are both counted, ingestion drops nothing, and no
 // stage restarts.
 func TestReloadRaceUnderLoad(t *testing.T) {
-	oldPoll, oldDeadline, oldFollow := confPollEvery, planDeadline, followPoll
-	confPollEvery, planDeadline, followPoll = time.Millisecond, 5*time.Second, 5*time.Millisecond
+	oldPoll, oldFollow := confPollEvery, followPoll
+	confPollEvery, followPoll = time.Millisecond, 5*time.Millisecond
 	// Cleanup, not defer: registered before startTestPipeline's cleanup,
 	// so the globals are restored only after the pipeline has stopped.
-	t.Cleanup(func() { confPollEvery, planDeadline, followPoll = oldPoll, oldDeadline, oldFollow })
+	t.Cleanup(func() { confPollEvery, followPoll = oldPoll, oldFollow })
 
 	dir := t.TempDir()
 	strace := filepath.Join(dir, "seer.strace")
 	cfgFile := filepath.Join(dir, "seerd.conf")
-	appendLine(t, strace, "bootstrap noise\n")
+	const seeded = 12
+	writeTrace(t, strace, seeded)
 
-	d := newDaemon(seededCorrelator(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: strace,
-		follow:     true,
-		queueCap:   64,
-		queueBlock: 5 * time.Millisecond,
-		cfgPath:    cfgFile,
-	})
+	rt := testRuntime(strace)
+	rt.Daemon.Follow = true
+	rt.Daemon.QueueCap = 64
+	// A full queue blocks the tailer rather than shedding within any
+	// plausible hammer stall, so a drop can only come from a resize.
+	rt.Daemon.QueueBlockMS = 2000
+	rt.Daemon.GatewayTimeoutMS = 5000
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt, cfgPath: cfgFile}, nil)
+	s0 := p.mgr.Shard(0)
+	queueCap := func() int {
+		_, c, _ := s0.QueueStats()
+		return c
+	}
 	base := "http://" + p.addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
@@ -81,7 +85,7 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			rt := p.store().Get()
+			rt := p.store.Get()
 			if err := rt.Validate(); err != nil {
 				t.Errorf("active config invalid: %v", err)
 				return
@@ -94,7 +98,7 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 				t.Errorf("torn KNear %d", k)
 				return
 			}
-			if c := p.queue.Cap(); c != 64 && c != 256 {
+			if c := queueCap(); c != 64 && c != 256 {
 				t.Errorf("live queue cap %d not a written value", c)
 				return
 			}
@@ -134,9 +138,9 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "final config applied", func() bool {
-		rt := p.store().Get()
+		rt := p.store.Get()
 		return rt.Daemon.QueueCap == 256 && rt.Params.KNear == 5 &&
-			p.store().LastReload().OK
+			p.store.LastReload().OK
 	})
 
 	stop.Store(true)
@@ -152,25 +156,30 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 		t.Error("request hammer never completed a request")
 	}
 
-	// The live components converged on the final config.
-	if got := p.queue.Cap(); got != 256 {
+	// The live components converged on the final config, the slot's
+	// correlator included: the file reload reached it through the
+	// manager's Params push.
+	if got := queueCap(); got != 256 {
 		t.Errorf("queue cap = %d, want 256", got)
 	}
-	d.lock()
-	knear := d.corr.Params().KNear
-	d.unlock()
-	if knear != 5 {
-		t.Errorf("correlator KNear = %d, want 5", knear)
+	if got := s0.Params().KNear; got != 5 {
+		t.Errorf("correlator KNear = %d after final reload, want 5", got)
 	}
 
-	// No dropped events: everything appended was fed (12 seeded + all
-	// appended lines), and the queue never shed.
-	waitEvents(t, d, 12+eventLines)
-	if drops := p.queue.Drops(); drops != 0 {
+	// No dropped events: everything appended was fed (the seeded
+	// bootstrap plus all appended lines), and the queue never shed.
+	waitFor(t, "every event fed or shed", func() bool {
+		_, _, drops := s0.QueueStats()
+		return events(p)+drops >= seeded+eventLines
+	})
+	if _, _, drops := s0.QueueStats(); drops != 0 {
 		t.Errorf("queue dropped %d events during resizes", drops)
 	}
+	if got := events(p); got != seeded+eventLines {
+		t.Errorf("fed %d events, want %d", got, seeded+eventLines)
+	}
 	// Rejected reloads are handled data, not failures: nothing restarted.
-	if got := p.sup.Restarts(); got != 0 {
+	if got := p.sup.Restarts() + s0.Restarts(); got != 0 {
 		t.Errorf("stage restarts = %d, want 0", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/replic"
 )
 
@@ -21,12 +20,10 @@ func TestPipelineServesRumorEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-		rumor:      true,
-	})
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.Rumor = true
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
 
 	rr := replic.NewRemoteRumor("http://"+p.addr()+"/rumor", nil)
 	if p.master.Create(7) != 1 {
@@ -68,11 +65,9 @@ func TestPipelineRumorDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p, _ := startTestPipeline(t, d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-	})
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
 	resp, err := http.Post("http://"+p.addr()+"/rumor/version", "application/x-seer-rumor", nil)
 	if err != nil {
 		t.Fatal(err)

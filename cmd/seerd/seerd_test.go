@@ -1,16 +1,22 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/core"
+	"github.com/fmg/seer/internal/strace"
 	"github.com/fmg/seer/internal/supervise"
-	"github.com/fmg/seer/internal/trace"
 )
 
 // testSupervisorConfig is a backoff policy tight enough for tests.
@@ -19,6 +25,98 @@ func testSupervisorConfig() supervise.Config {
 		Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
 		BreakAfter: 50,
 		Window:     time.Minute,
+	}
+}
+
+// testRuntime returns a one-slot runtime reading strace from path and
+// serving on an ephemeral port.
+func testRuntime(path string) config.Runtime {
+	rt := config.DefaultRuntime()
+	rt.Daemon.Strace = path
+	rt.Daemon.Listen = "127.0.0.1:0"
+	return rt
+}
+
+// startTestPipeline builds a pipeline from cfg (a zero base defaults to
+// cfg.rt, a zero supervisor to testSupervisorConfig), lets prep install
+// test hooks, bootstraps a single slot from its strace file, and serves
+// until the returned stop runs — at the latest when the test ends. stop
+// halts the process stages, then drains every shard to its final
+// checkpoint.
+func startTestPipeline(t *testing.T, cfg pipelineConfig, prep func(*pipeline)) (*pipeline, func()) {
+	t.Helper()
+	if cfg.base == (config.Runtime{}) {
+		cfg.base = cfg.rt
+	}
+	if cfg.supervisor.Window == 0 {
+		cfg.supervisor = testSupervisorConfig()
+	}
+	p := newPipeline(cfg)
+	if prep != nil {
+		prep(p)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if d := cfg.rt.Daemon; d.Shards == 1 && d.Strace != "-" {
+		f, err := os.Open(d.Strace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.bootstrap(ctx, f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("bootstrap: %v", err)
+		}
+	}
+	p.start(ctx)
+	stopped := false
+	stop := func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		cancel()
+		done := make(chan struct{})
+		go func() {
+			p.wait()
+			p.close()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Error("pipeline did not stop within 10s")
+		}
+	}
+	t.Cleanup(stop)
+	// Wait for the listener so tests can hit HTTP endpoints.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.addr() == "" && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if p.addr() == "" {
+		t.Fatal("pipeline listener never came up")
+	}
+	return p, stop
+}
+
+// events returns how many events the single slot has fed.
+func events(p *pipeline) uint64 { return p.mgr.Shard(0).Events() }
+
+// waitEvents polls until the single slot has fed at least n events.
+func waitEvents(t *testing.T, p *pipeline, n uint64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d events fed", n), func() bool { return events(p) >= n })
+}
+
+// writeTrace writes lines chaosLine(0..n-1) to a fresh file at path.
+func writeTrace(t *testing.T, path string, n int) {
+	t.Helper()
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		b.WriteString(chaosLine(i))
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -70,46 +168,63 @@ func TestFeedLinesSkipsOversizedTail(t *testing.T) {
 	}
 }
 
-// seededCorrelator returns a correlator with a few learned events.
-func seededCorrelator(opts core.Options) *core.Correlator {
-	c := core.New(opts)
-	clk := trace.NewClock(time.Unix(1_000_000, 0))
-	for i := 0; i < 6; i++ {
-		path := "/home/u/a.c"
-		if i%2 == 1 {
-			path = "/home/u/b.h"
-		}
-		c.Feed(clk.Stamp(trace.Event{PID: 9, Op: trace.OpOpen, Path: path, Uid: 1000}))
-		c.Feed(clk.Stamp(trace.Event{PID: 9, Op: trace.OpClose, Path: path, Uid: 1000}))
+// oneShot runs what a one-shot seerd does around rt: open the shards,
+// bootstrap the trace, and close (the drain writes the final
+// checkpoint). It returns the slot's event count before the close.
+func oneShot(t *testing.T, rt config.Runtime) uint64 {
+	t.Helper()
+	p := newPipeline(pipelineConfig{rt: rt, base: rt})
+	defer p.close()
+	f, err := os.Open(rt.Daemon.Strace)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return c
+	defer f.Close()
+	if err := p.bootstrap(context.Background(), f); err != nil {
+		t.Fatal(err)
+	}
+	return events(p)
 }
 
+// restoredEvents opens the shards over rt's shard-dir and reports how
+// many events slot 0 restored.
+func restoredEvents(rt config.Runtime) uint64 {
+	p := newPipeline(pipelineConfig{rt: rt, base: rt})
+	defer p.close()
+	return events(p)
+}
+
+// The snapshot ladder end to end through seerd: every run's final
+// drain rotates the previous shard-000.db to .bak; a corrupt primary
+// recovers from the backup, and a corrupt pair starts a fresh database
+// rather than failing.
 func TestSnapshotRotationAndRecoveryLadder(t *testing.T) {
 	dir := t.TempDir()
-	db := filepath.Join(dir, "seer.db")
-	opts := core.Options{Seed: 1}
-	c := seededCorrelator(opts)
-
-	// First checkpoint: primary only.
-	if err := writeSnapshot(c, db); err != nil {
+	rt := testRuntime(filepath.Join(dir, "seer.strace"))
+	rt.Daemon.Listen = ""
+	rt.Daemon.ShardDir = filepath.Join(dir, "shards")
+	if err := os.MkdirAll(rt.Daemon.ShardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(db + bakSuffix); !os.IsNotExist(err) {
-		t.Fatal("backup exists after first checkpoint")
-	}
-	// Second checkpoint rotates the first to .bak.
-	if err := writeSnapshot(c, db); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(db + bakSuffix); err != nil {
-		t.Fatal("no backup after second checkpoint")
-	}
+	db := filepath.Join(rt.Daemon.ShardDir, "shard-000.db")
+	writeTrace(t, rt.Daemon.Strace, 6)
 
-	// Intact primary restores.
-	r := restoreDB(db, opts)
-	if r.Events() != c.Events() {
-		t.Fatalf("restored %d events, want %d", r.Events(), c.Events())
+	// First run: primary only.
+	first := oneShot(t, rt)
+	if first != 6 {
+		t.Fatalf("first run fed %d events, want 6", first)
+	}
+	if _, err := os.Stat(db + ".bak"); !os.IsNotExist(err) {
+		t.Fatal("backup exists after the first checkpoint")
+	}
+	// Second run restores the first and learns the trace again; its
+	// checkpoint rotates the first to .bak.
+	second := oneShot(t, rt)
+	if second != 2*first {
+		t.Fatalf("second run holds %d events, want %d", second, 2*first)
+	}
+	if _, err := os.Stat(db + ".bak"); err != nil {
+		t.Fatal("no backup after the second checkpoint")
 	}
 
 	// Corrupt primary: the ladder falls back to the backup.
@@ -122,103 +237,163 @@ func TestSnapshotRotationAndRecoveryLadder(t *testing.T) {
 	if err := os.WriteFile(db, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r = restoreDB(db, opts)
-	if r.Events() != c.Events() {
-		t.Fatalf("backup recovery lost events: %d, want %d", r.Events(), c.Events())
+	if got := restoredEvents(rt); got != first {
+		t.Fatalf("backup recovery restored %d events, want %d", got, first)
 	}
 
 	// Corrupt both: a fresh database, not a crash.
-	if err := os.WriteFile(db+bakSuffix, corrupt[:len(corrupt)/3], 0o644); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{db, db + ".bak"} {
+		if err := os.WriteFile(path, corrupt[:len(corrupt)/3], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r = restoreDB(db, opts)
-	if r == nil {
-		t.Fatal("no correlator from double corruption")
-	}
-	if r.Events() != 0 {
-		t.Fatalf("fresh database has %d events", r.Events())
-	}
-
-	// Missing files entirely: also fresh.
-	r = restoreDB(filepath.Join(dir, "nonexistent.db"), opts)
-	if r == nil || r.Events() != 0 {
-		t.Fatal("missing database did not yield a fresh start")
+	if got := restoredEvents(rt); got != 0 {
+		t.Fatalf("fresh database has %d events", got)
 	}
 }
 
 func TestSaveDBThenRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	db := filepath.Join(dir, "seer.db")
-	opts := core.Options{Seed: 1}
-	d := newDaemon(seededCorrelator(opts), 1<<20)
-	if err := saveDB(d, db); err != nil {
-		t.Fatal(err)
-	}
-	r := restoreDB(db, opts)
-	if r.Events() != d.corr.Events() {
-		t.Fatalf("restored %d events, want %d", r.Events(), d.corr.Events())
+	rt := testRuntime(filepath.Join(dir, "seer.strace"))
+	rt.Daemon.Listen = ""
+	rt.Daemon.ShardDir = dir
+	writeTrace(t, rt.Daemon.Strace, 12)
+	want := oneShot(t, rt)
+	if got := restoredEvents(rt); got != want {
+		t.Fatalf("restored %d events, want %d", got, want)
 	}
 	// No leftover temp file.
-	if _, err := os.Stat(db + ".tmp"); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "shard-000.db.tmp")); !os.IsNotExist(err) {
 		t.Error("temp file left behind")
 	}
 }
 
-// waitEvents polls until the daemon has seen at least n events.
-func waitEvents(t *testing.T, d *daemon, n uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		d.lock()
-		got := d.corr.Events()
-		d.unlock()
-		if got >= n {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+// A one-shot run whose final checkpoint fails exits 1: learned state
+// was lost, and a supervisor or script must be able to tell. The same
+// run over a writable shard-dir exits 0.
+func TestRunExitStatusReportsFinalCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	rt := testRuntime(filepath.Join(dir, "seer.strace"))
+	rt.Daemon.Listen = ""
+	rt.Daemon.ShardDir = filepath.Join(dir, "shards")
+	writeTrace(t, rt.Daemon.Strace, 12)
+	// A directory where the snapshot's temp file goes fails every save.
+	blocker := filepath.Join(rt.Daemon.ShardDir, "shard-000.db.tmp")
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("daemon never reached %d events", n)
+	if code := run(pipelineConfig{rt: rt, base: rt}); code != 1 {
+		t.Errorf("run = %d with a failing final checkpoint, want 1", code)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if code := run(pipelineConfig{rt: rt, base: rt}); code != 0 {
+		t.Errorf("run = %d with a writable shard-dir, want 0", code)
+	}
 }
 
-// startTestPipeline builds and starts a supervised pipeline for tests,
-// returning it with its cancel func. The caller appends to path to
-// feed the tailer.
-func startTestPipeline(t *testing.T, d *daemon, cfg pipelineConfig) (*pipeline, context.CancelFunc) {
-	t.Helper()
-	if cfg.listen == "" {
-		cfg.listen = "127.0.0.1:0"
+// Slot 0's /plan after a bootstrap is exactly what a standalone parser
+// and correlator render over the same trace: the one-slot deployment
+// adds supervision, not behaviour. A queue far smaller than the trace
+// forces the bootstrap through its backpressure loop, which must shed
+// nothing.
+func TestBootstrapPlanMatchesStandaloneCorrelator(t *testing.T) {
+	const golden = "../../internal/strace/testdata/golden.strace"
+	rt := testRuntime(golden)
+	rt.Daemon.QueueCap = 4
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.supervisor.Window == 0 {
-		cfg.supervisor = testSupervisorConfig()
-	}
-	p := newPipeline(d, cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	p.start(ctx)
-	t.Cleanup(func() {
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Error("pipeline did not stop within 10s")
+	parser := strace.NewParser()
+	c := core.New(core.Options{Seed: 1})
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		if ev, ok := parser.ParseLine(sc.Text()); ok {
+			c.Feed(ev)
 		}
-	})
-	// Wait for the listener so tests can hit HTTP endpoints.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
 	}
-	if p.addr() == "" {
-		t.Fatal("pipeline listener never came up")
+	plan, err := c.PlanContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p, cancel
+	var want strings.Builder
+	for i, e := range plan.Entries {
+		fmt.Fprintf(&want, "%5d %8s %10d %12d %s\n", i, e.Reason, e.File.Size, e.Cum, e.File.Path)
+	}
+	if plan.Entries == nil {
+		t.Fatal("standalone plan is empty; the golden trace should cluster")
+	}
+
+	if got := events(p); got != c.Events() {
+		t.Fatalf("slot 0 fed %d events, standalone %d", got, c.Events())
+	}
+	if _, _, drops := p.mgr.Shard(0).QueueStats(); drops != 0 {
+		t.Fatalf("bootstrap shed %d events", drops)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+	code, _, got := httpGet(t, client, "http://"+p.addr()+"/plan")
+	if code != http.StatusOK || got != want.String() {
+		t.Fatalf("/plan: HTTP %d\n--- got\n%s--- want\n%s", code, got, want.String())
+	}
+}
+
+// Both listeners serve one health document — the process supervisor's
+// report, whose shards probe names every slot — and the debug listener
+// serves the gateway's /shards view.
+func TestHealthzServesOneDocument(t *testing.T) {
+	rt := testRuntime("-")
+	rt.Daemon.Shards = 2
+	rt.Daemon.DebugAddr = "127.0.0.1:0"
+	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+	waitFor(t, "debug listener", func() bool { return p.debugAddr() != "" })
+	client := &http.Client{Timeout: 10 * time.Second}
+	defer client.CloseIdleConnections()
+
+	var docs []string
+	for _, base := range []string{"http://" + p.addr(), "http://" + p.debugAddr()} {
+		code, rep := healthReport(t, client, base)
+		if code != http.StatusOK || rep.State != "healthy" {
+			t.Fatalf("%s/healthz: HTTP %d state %q", base, code, rep.State)
+		}
+		detail := probeDetail(rep, "shards")
+		if !strings.Contains(detail, "0:serving/healthy") || !strings.Contains(detail, "1:serving/healthy") {
+			t.Fatalf("%s/healthz shards probe = %q, want both slots", base, detail)
+		}
+		if code, _, _ := httpGet(t, client, base+"/readyz"); code != http.StatusOK {
+			t.Fatalf("%s/readyz: HTTP %d", base, code)
+		}
+		docs = append(docs, fmt.Sprint(len(rep.Stages), len(rep.Probes)))
+	}
+	if docs[0] != docs[1] {
+		t.Fatalf("listeners serve different health documents: %v", docs)
+	}
+
+	code, _, body := httpGet(t, client, "http://"+p.debugAddr()+"/shards")
+	var view struct {
+		Shards []struct {
+			Shard int `json:"shard"`
+		} `json:"shards"`
+		Health string `json:"health"`
+	}
+	if err := json.Unmarshal([]byte(body), &view); err != nil || code != http.StatusOK {
+		t.Fatalf("debug /shards: HTTP %d %v\n%s", code, err, body)
+	}
+	if len(view.Shards) != 2 || view.Health != "healthy" {
+		t.Fatalf("debug /shards = %+v", view)
+	}
 }
 
 func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 	oldPoll := followPoll
 	followPoll = 10 * time.Millisecond
-	defer func() { followPoll = oldPoll }()
+	// Cleanup, not defer: registered before startTestPipeline's cleanup,
+	// so the tailer has stopped before the global is restored.
+	t.Cleanup(func() { followPoll = oldPoll })
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seer.strace")
@@ -229,31 +404,21 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
-	p, cancel := startTestPipeline(t, d, pipelineConfig{
-		stracePath: path,
-		follow:     true,
-	})
-	_ = p
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	p, stop := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
 
 	// Appended lines are consumed.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(30 * time.Millisecond) // let the tailer seek to the end
-	if _, err := f.WriteString(line1); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	waitEvents(t, d, 1)
+	appendLine(t, path, line1)
+	waitEvents(t, p, 1)
 
 	// Truncation: the file is rewritten shorter. The tailer must reopen
 	// from the start and consume the fresh contents.
 	if err := os.WriteFile(path, []byte(line2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 2)
+	waitEvents(t, p, 2)
 
 	// Rotation: the file is replaced via rename (new inode).
 	tmp := filepath.Join(dir, "rotated.strace")
@@ -263,11 +428,10 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 3)
+	waitEvents(t, p, 3)
 
-	cancel()
 	done := make(chan struct{})
-	go func() { p.wait(); close(done) }()
+	go func() { stop(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +13,7 @@ import (
 	"github.com/fmg/seer/internal/supervise"
 )
 
-// The SLO acceptance chain, end to end on a real sharded pipeline: an
+// The SLO acceptance chain, end to end on a real two-shard pipeline: an
 // upstream failure burns the rumor-sync error budget, the fast-window
 // burn rate crosses the page threshold, the slo health probe degrades
 // the daemon, and the breach hook auto-captures a flight bundle with
@@ -29,10 +28,8 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 	rt.Daemon.RumorURL = "http://127.0.0.1:1/rumor"
 	rt.Daemon.FlightDir = filepath.Join(dir, "flight")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sp := newShardPipeline(ctx, rt, rt, "", nil)
-	defer sp.mgr.Close()
+	sp := newPipeline(pipelineConfig{rt: rt, base: rt})
+	defer sp.close()
 	if sp.flight == nil {
 		t.Fatal("flight recorder not built despite -flight-dir")
 	}

@@ -1,5 +1,11 @@
 package main
 
+// Strace ingest for the one-slot deployment: the cold bootstrap over
+// the existing trace, and the -follow tailer over appended lines. Both
+// hand lines to the slot's shard through Shard.IngestLines, which parses
+// them with the shard's stateful parser and queues the events for its
+// feeder.
+
 import (
 	"bufio"
 	"context"
@@ -10,7 +16,7 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/obs"
-	"github.com/fmg/seer/internal/strace"
+	"github.com/fmg/seer/internal/shard"
 )
 
 // maxLineLen bounds a single strace line. Longer lines (a pathological
@@ -18,12 +24,60 @@ import (
 // bufio.Scanner would instead stop the whole stream with ErrTooLong.
 const maxLineLen = 1 << 20
 
-// checkpointEvery is the default checkpointer-stage interval.
-const checkpointEvery = 5 * time.Minute
+// tailChunk bounds how many lines the tailer hands to the shard in one
+// IngestLines call while a burst is still arriving.
+const tailChunk = 256
+
+// bootstrapStallPolls is how many 1 ms polls without progress, after a
+// feeder restart, bootstrap waits before declaring the batch lost.
+const bootstrapStallPolls = 100
 
 // followPoll is how long the tailer waits at EOF before polling again
 // (a variable so tests can tighten the loop).
 var followPoll = time.Second
+
+// lineSplitter reassembles newline-terminated lines from the chunks
+// bufio.Reader.ReadString returns, skipping any line longer than max
+// (newline included) instead of aborting the stream.
+type lineSplitter struct {
+	max      int
+	partial  []byte
+	skipping bool
+	log      *obs.Logger
+}
+
+// push consumes one chunk; complete reports whether it ended in a
+// newline. It returns the finished line, newline stripped, if any.
+func (s *lineSplitter) push(chunk string, complete bool) (string, bool) {
+	if s.skipping {
+		// The oversized line ends with this chunk's newline, if it has one.
+		s.skipping = !complete
+		return "", false
+	}
+	s.partial = append(s.partial, chunk...)
+	if len(s.partial) > s.max {
+		s.log.Warn("skipping oversized line", "bytes", len(s.partial))
+		s.partial = s.partial[:0]
+		s.skipping = !complete
+		return "", false
+	}
+	if !complete {
+		return "", false
+	}
+	line := strings.TrimSuffix(string(s.partial), "\n")
+	s.partial = s.partial[:0]
+	return line, true
+}
+
+// flush returns the unterminated line pending at the end of a stream.
+func (s *lineSplitter) flush() (string, bool) {
+	if s.skipping || len(s.partial) == 0 {
+		return "", false
+	}
+	line := string(s.partial)
+	s.partial = s.partial[:0]
+	return line, true
+}
 
 // feedLines delivers each newline-terminated line of r (and a trailing
 // unterminated line at EOF) to fn with the newline stripped. Lines
@@ -33,11 +87,9 @@ var followPoll = time.Second
 // bootstrap does not have to run to EOF before it is noticed.
 func feedLines(ctx context.Context, r io.Reader, maxLine int, fn func(string)) error {
 	br := bufio.NewReaderSize(r, 64*1024)
-	var partial []byte
-	skipping := false
+	split := lineSplitter{max: maxLine, log: logger}
 	done := ctx.Done()
-	lines := 0
-	for {
+	for lines := 0; ; lines++ {
 		if lines%64 == 0 {
 			select {
 			case <-done:
@@ -45,77 +97,147 @@ func feedLines(ctx context.Context, r io.Reader, maxLine int, fn func(string)) e
 			default:
 			}
 		}
-		lines++
 		chunk, err := br.ReadString('\n')
-		if skipping {
-			if err == nil {
-				// The oversized line finally ended; resume normally.
-				skipping = false
+		if line, ok := split.push(chunk, err == nil); ok {
+			fn(line)
+		}
+		if err == io.EOF {
+			if line, ok := split.flush(); ok {
+				fn(line)
 			}
-		} else {
-			partial = append(partial, chunk...)
-			complete := err == nil
-			if len(partial) > maxLine {
-				logger.Warn("skipping oversized line", "bytes", len(partial))
-				partial = partial[:0]
-				skipping = !complete
-			} else if complete {
-				fn(strings.TrimSuffix(string(partial), "\n"))
-				partial = partial[:0]
-			}
+			return nil
 		}
 		if err != nil {
-			if err == io.EOF {
-				if !skipping && len(partial) > 0 {
-					fn(string(partial))
-				}
-				return nil
-			}
 			return err
 		}
 	}
 }
 
-// tailStage tails the strace file for appended lines, parses them, and
-// enqueues the resulting events on the pipeline's bounded queue — it
-// never touches the correlator (or its lock), so a wedged clustering
-// cannot stall the tail loop. It survives the file being truncated or
-// rotated (size shrank or inode changed): the new file is reopened
-// from the start instead of polling a dead offset forever. It returns
-// when ctx is cancelled; errors and panics bubble to the supervisor,
-// which restarts the stage with backoff (each fresh start seeks to the
-// current end of the file).
-func (p *pipeline) tailStage(ctx context.Context) error {
-	tlog := logger.With("component", "tailer")
-	parser := strace.NewParser()
+// bootstrap is the cold pass over the existing trace r into the single
+// slot. It must not shed: it applies backpressure at the producer,
+// ingesting at most a queue's worth of lines and then waiting for the
+// feeder to catch up before reading on. One "bootstrap" root span
+// parents every batch's ingest span. A cancelled ctx stops it promptly;
+// whatever is still queued is folded by the final drain. If the feeder
+// fails while a batch is in flight (a restart drops the event it was
+// feeding; a broken feeder feeds nothing), the batch can never be
+// caught up: bootstrap stops reading and returns an error counting the
+// unfed events.
+func (p *pipeline) bootstrap(ctx context.Context, r io.Reader) error {
+	s := p.mgr.Shard(0)
+	root := p.tracer.StartRoot("bootstrap")
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	bctx := obs.ContextWithSpan(rctx, root.Context())
+	_, capacity, _ := s.QueueStats()
 	var (
-		f        *os.File
-		br       *bufio.Reader
-		offset   int64
-		partial  []byte
-		skipping bool
+		batch  []string
+		events int
+		lost   error
 	)
-	// One ingestion batch — everything read between two EOF pauses —
-	// shares a trace id. The "ingest" span opens on the batch's first
-	// parsed event and closes at the EOF pause, at which point the batch
-	// becomes the daemon's current trace for plan/hoard spans to join.
-	var (
-		tid    obs.TraceID
-		sp     *obs.ActiveSpan
-		batchN int64
-	)
-	endBatch := func() {
-		if sp == nil {
+	flush := func() {
+		if len(batch) == 0 || lost != nil {
 			return
 		}
-		sp.AttrInt("events", batchN).End()
-		p.d.setTrace(tid)
-		tlog.Debug("ingestion batch complete", "trace", tid.String(), "events", batchN)
-		sp, batchN = nil, 0
+		want, restarts := s.Events(), s.Restarts()
+		n, _ := s.IngestLines(bctx, batch)
+		events += n
+		want += uint64(n)
+		batch = batch[:0]
+		for idle, seen := 0, s.Events(); seen < want && rctx.Err() == nil; {
+			time.Sleep(time.Millisecond)
+			if now := s.Events(); now != seen || s.Restarts() == restarts {
+				idle, seen = 0, now
+				continue
+			}
+			// The feeder restarted and has stopped making progress (the
+			// queue is empty, or the feeder's breaker tripped): the event
+			// it was feeding when it failed is gone, so want is out of
+			// reach.
+			if idle++; idle >= bootstrapStallPolls {
+				unfed := want - seen
+				logger.Error("bootstrap stopped: shard feeder failed", "unfed_events", unfed)
+				lost = fmt.Errorf("bootstrap: shard feeder failed with %d events unfed", unfed)
+				cancel()
+				return
+			}
+		}
+	}
+	err := feedLines(bctx, r, maxLineLen, func(line string) {
+		if batch = append(batch, line); len(batch) >= capacity {
+			flush()
+		}
+	})
+	flush()
+	root.AttrInt("events", int64(events)).End()
+	if lost != nil {
+		return lost
+	}
+	return err
+}
+
+// tailIngest hands one batch of tailed lines to the single slot,
+// backing off while a drain swaps the slot's shard for its replacement.
+func (p *pipeline) tailIngest(ctx context.Context, lines []string) {
+	for {
+		_, err := p.mgr.Shard(0).IngestLines(ctx, lines)
+		if !shard.IsTransient(err) {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// tailStage tails the strace file for appended lines and hands them to
+// the slot's shard, whose bounded queue sheds rather than blocks — the
+// tailer never touches the correlator (or its lock), so a wedged
+// clustering cannot stall the tail loop. It survives the file being
+// truncated or rotated (size shrank or inode changed): the new file is
+// reopened from the start instead of polling a dead offset forever. It
+// returns when ctx is cancelled; errors and panics bubble to the
+// supervisor, which restarts the stage with backoff (each fresh start
+// seeks to the current end of the file).
+func (p *pipeline) tailStage(ctx context.Context) error {
+	path := p.store.Get().Daemon.Strace
+	tlog := logger.With("component", "tailer")
+	var (
+		f      *os.File
+		br     *bufio.Reader
+		offset int64
+		split  lineSplitter
+	)
+	// One ingestion batch — everything read between two EOF pauses —
+	// shares a "tail" root span, which parents the ingest span of every
+	// chunk handed to the shard.
+	var (
+		batch []string
+		root  *obs.ActiveSpan
+		bctx  context.Context // nil between batches
+		lines int64
+	)
+	flush := func() {
+		if len(batch) > 0 {
+			p.tailIngest(bctx, batch)
+			lines += int64(len(batch))
+			batch = batch[:0]
+		}
+	}
+	endBatch := func() {
+		if bctx == nil {
+			return
+		}
+		flush()
+		root.AttrInt("lines", lines).End()
+		tlog.Debug("ingestion batch complete", "trace", root.Context().Trace.String(), "lines", lines)
+		root, bctx, lines = nil, nil, 0
 	}
 	defer endBatch()
 	open := func(seekEnd bool) error {
-		nf, err := os.Open(p.cfg.stracePath)
+		nf, err := os.Open(path)
 		if err != nil {
 			return err
 		}
@@ -134,8 +256,7 @@ func (p *pipeline) tailStage(ctx context.Context) error {
 			r = p.wrapTail(nf)
 		}
 		f, br, offset = nf, bufio.NewReaderSize(r, 64*1024), off
-		partial, skipping = nil, false
-		parser = strace.NewParser()
+		split = lineSplitter{max: maxLineLen, log: tlog}
 		return nil
 	}
 	if err := open(true); err != nil {
@@ -145,53 +266,39 @@ func (p *pipeline) tailStage(ctx context.Context) error {
 	for {
 		chunk, err := br.ReadString('\n')
 		offset += int64(len(chunk))
+		if line, ok := split.push(chunk, err == nil); ok {
+			if bctx == nil {
+				root = p.tracer.StartRoot("tail")
+				bctx = obs.ContextWithSpan(ctx, root.Context())
+			}
+			batch = append(batch, line)
+			if len(batch) >= tailChunk {
+				flush()
+			}
+		}
 		if err == nil {
-			if skipping {
-				skipping = false
-			} else {
-				partial = append(partial, chunk...)
-				if len(partial) > maxLineLen {
-					tlog.Warn("skipping oversized line", "bytes", len(partial))
-				} else if ev, ok := parser.ParseLine(strings.TrimSuffix(string(partial), "\n")); ok {
-					if sp == nil {
-						tid = p.d.tracer.NewTrace()
-						sp = p.d.tracer.StartSpan(tid, "ingest")
-					}
-					batchN++
-					p.queue.Put(ctx, queuedEvent{ev: ev, tid: tid})
+			continue
+		}
+		// At EOF: the splitter keeps the partial line, so wait for growth
+		// and watch for the file shrinking or being replaced underneath us.
+		endBatch()
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(followPoll):
+		}
+		if st, serr := os.Stat(path); serr == nil {
+			cur, ferr := f.Stat()
+			rotated := ferr == nil && !os.SameFile(st, cur)
+			truncated := !rotated && st.Size() < offset
+			if rotated || truncated {
+				why := "rotated"
+				if truncated {
+					why = "truncated"
 				}
-				partial = partial[:0]
-			}
-		} else {
-			// At EOF: stash the partial line, wait for growth, and watch
-			// for the file shrinking or being replaced underneath us.
-			if !skipping {
-				partial = append(partial, chunk...)
-				if len(partial) > maxLineLen {
-					tlog.Warn("skipping oversized line", "bytes", len(partial))
-					partial = partial[:0]
-					skipping = true
-				}
-			}
-			endBatch()
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(followPoll):
-			}
-			if st, serr := os.Stat(p.cfg.stracePath); serr == nil {
-				cur, ferr := f.Stat()
-				rotated := ferr == nil && !os.SameFile(st, cur)
-				truncated := !rotated && st.Size() < offset
-				if rotated || truncated {
-					why := "rotated"
-					if truncated {
-						why = "truncated"
-					}
-					tlog.Warn("trace file replaced; reopening from start", "path", p.cfg.stracePath, "why", why)
-					if oerr := open(false); oerr != nil {
-						tlog.Error("reopen failed", "path", p.cfg.stracePath, "err", oerr)
-					}
+				tlog.Warn("trace file replaced; reopening from start", "path", path, "why", why)
+				if oerr := open(false); oerr != nil {
+					tlog.Error("reopen failed", "path", path, "err", oerr)
 				}
 			}
 		}

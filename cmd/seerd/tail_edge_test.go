@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,73 +11,40 @@ import (
 
 	"github.com/fmg/seer/internal/core"
 	"github.com/fmg/seer/internal/fault"
+	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
 )
 
 // TestFollowFailureMatrix interleaves the two tail-loop disruptions
 // (truncation and rotation) with checkpoint-sink failures: the pipeline
 // must keep ingesting through both, health must degrade while the sink
-// is broken and recover after it heals, and the database on disk must
-// still be loadable at the end.
+// is broken and recover after it heals, and the snapshot the final
+// drain writes must still be loadable at the end.
 func TestFollowFailureMatrix(t *testing.T) {
 	oldPoll := followPoll
 	followPoll = 5 * time.Millisecond
-	defer func() { followPoll = oldPoll }()
+	// Cleanup, not defer: registered before startTestPipeline's cleanup,
+	// so the tailer has stopped before the global is restored.
+	t.Cleanup(func() { followPoll = oldPoll })
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seer.strace")
-	db := filepath.Join(dir, "seer.db")
 	if err := os.WriteFile(path, []byte("pre-follow noise\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	d := newDaemon(core.New(core.Options{Seed: 1}), 1<<20)
 	var sink fault.Sink
-	cfg := pipelineConfig{
-		stracePath:      path,
-		follow:          true,
-		dbPath:          db,
-		listen:          "127.0.0.1:0",
-		checkpointEvery: 15 * time.Millisecond,
-		supervisor:      testSupervisorConfig(),
-	}
-	p := newPipeline(d, cfg)
-	origSave := p.save
-	p.save = func() error { return sink.Do(origSave) }
-	ctx, cancel := context.WithCancel(context.Background())
-	p.start(ctx)
-	stopped := false
-	stop := func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		done := make(chan struct{})
-		go func() { p.wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("pipeline did not stop")
-		}
-	}
-	defer stop()
-	// Wait for the listener so health is inspectable over the stage tree.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	events := func() uint64 {
-		d.lock()
-		defer d.unlock()
-		return d.corr.Events()
-	}
+	rt := testRuntime(path)
+	rt.Daemon.Follow = true
+	rt.Daemon.ShardDir = dir
+	p, stop := startTestPipeline(t, pipelineConfig{rt: rt, checkpointEvery: 15 * time.Millisecond},
+		func(p *pipeline) { p.mgr.Shard(0).SetSaveWrapper(sink.Do) })
 
 	// Healthy append baseline.
 	time.Sleep(30 * time.Millisecond) // tailer seeks to end first
 	appendLine(t, path, chaosLine(0))
-	waitEvents(t, d, 1)
+	waitEvents(t, p, 1)
 
 	// Case 1: truncation while checkpoints fail. The tailer reopens from
 	// the start; the broken sink degrades health but stops nothing.
@@ -84,7 +52,7 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(chaosLine(1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 2)
+	waitEvents(t, p, 2)
 	waitFor(t, "degraded during sink break (truncation)", func() bool {
 		return p.sup.Health() == supervise.Degraded
 	})
@@ -102,7 +70,7 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.Rename(tmp, path); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 3)
+	waitEvents(t, p, 3)
 	waitFor(t, "degraded during sink break (rotation)", func() bool {
 		return p.sup.Health() == supervise.Degraded
 	})
@@ -120,7 +88,7 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.Rename(tmp2, path); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 4)
+	waitEvents(t, p, 4)
 	// The truncated replacement must be strictly shorter than what the
 	// tailer already consumed, or the size check cannot see it shrink.
 	short := `100  12:00:09.000009 openat(AT_FDCWD, "/h/x.c", O_RDONLY) = 3` + "\n"
@@ -130,14 +98,12 @@ func TestFollowFailureMatrix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(short), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitEvents(t, d, 5)
+	waitEvents(t, p, 5)
 
-	total := events()
+	// Stopping drains the slot to its final checkpoint.
+	total := events(p)
 	stop()
-	if err := saveDB(d, db); err != nil {
-		t.Fatalf("final save: %v", err)
-	}
-	r := restoreDB(db, core.Options{Seed: 1})
+	r := shard.RestoreSnapshot(filepath.Join(dir, "shard-000.db"), core.Options{Seed: 1}, obs.NewLogger(io.Discard))
 	if r.Events() != total {
 		t.Fatalf("restored %d events after failure matrix, want %d", r.Events(), total)
 	}

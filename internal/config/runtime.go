@@ -30,19 +30,17 @@ type Daemon struct {
 	Strace string `json:"strace,omitempty"`
 	// Listen is the main HTTP listen address. Structural.
 	Listen string `json:"listen,omitempty"`
-	// DebugAddr is the optional pprof/expvar listener. Structural.
+	// DebugAddr is the optional pprof/debug listener. Structural.
 	DebugAddr string `json:"debug_addr,omitempty"`
-	// DB is the snapshot path (seerd only). Structural.
-	DB string `json:"db,omitempty"`
 	// Follow keeps tailing the strace file. Structural.
 	Follow bool `json:"follow,omitempty"`
 	// Rumor mounts the replication master under /rumor/. Structural.
 	Rumor bool `json:"rumor,omitempty"`
-	// Shards enables multi-tenant mode with this many user shards
-	// behind the gateway (0 = classic single-tenant). Structural.
+	// Shards is how many user shards seerd hosts behind the gateway
+	// (≥1; with one, the strace input feeds it). Structural.
 	Shards int `json:"shards,omitempty"`
 	// ShardDir is the directory holding per-shard snapshots
-	// (shard-NNN.db); "" disables shard checkpointing. Structural.
+	// (shard-NNN.db); "" disables checkpointing. Structural.
 	ShardDir string `json:"shard_dir,omitempty"`
 	// RumorURL points the daemon at an upstream replication master
 	// (e.g. http://host:7078/rumor): fresh /hoard answers pre-fetch
@@ -75,8 +73,8 @@ type Daemon struct {
 	GatewayTimeoutMS int `json:"gateway_timeout_ms,omitempty"`
 	// DrainTimeoutMS bounds one shard drain/migrate. Hot.
 	DrainTimeoutMS int `json:"drain_timeout_ms,omitempty"`
-	// QueueCap bounds the tailer-to-feeder ingestion queue. Hot: a
-	// reload resizes the live queue without dropping queued events.
+	// QueueCap bounds each shard's ingestion queue. Hot: a reload
+	// resizes the live queues without dropping queued events.
 	QueueCap int `json:"queue_cap"`
 	// QueueBlockMS is how long an overflowing queue Put blocks before
 	// shedding the oldest event. Hot.
@@ -89,19 +87,18 @@ type Daemon struct {
 	LogFormat string `json:"log_format"`
 }
 
-// Admission configures per-endpoint admission control: how many
-// requests may run concurrently, which pressure signals shed early, and
-// what the shed response advertises. Zero values disable a limit. All
-// fields are hot-reloadable.
+// Admission configures admission control: how many requests may run
+// concurrently, which pressure signals shed early, and what the shed
+// response advertises. Zero values disable a limit. All fields are
+// hot-reloadable.
 type Admission struct {
-	// PlanMaxInFlight bounds concurrent /plan + /hoard + /clusters
-	// requests (the clustering-heavy read path).
+	// PlanMaxInFlight bounds the concurrent requests one shard admits
+	// across its routed endpoints (/plan, /hoard, /clusters, /stats,
+	// /miss, /events).
 	PlanMaxInFlight int `json:"plan_max_inflight"`
-	// MissMaxInFlight bounds concurrent /miss + /stats requests.
-	MissMaxInFlight int `json:"miss_max_inflight"`
 	// RumorMaxInFlight bounds concurrent /rumor/ requests.
 	RumorMaxInFlight int `json:"rumor_max_inflight"`
-	// MaxQueuePct sheds plan-path requests while the ingestion queue is
+	// MaxQueuePct sheds a shard's requests while its ingestion queue is
 	// at least this percent full (0 disables; 100 = completely full).
 	MaxQueuePct int `json:"max_queue_pct"`
 	// MaxLatencyMS sheds requests beyond the first in-flight one while
@@ -118,6 +115,7 @@ func DefaultRuntime() Runtime {
 		Params: Defaults(),
 		Daemon: Daemon{
 			Strace:               "-",
+			Shards:               1,
 			QueueCap:             8192,
 			QueueBlockMS:         100,
 			HoardBudgetMB:        512,
@@ -135,7 +133,6 @@ func DefaultRuntime() Runtime {
 		},
 		Admit: Admission{
 			PlanMaxInFlight:  16,
-			MissMaxInFlight:  64,
 			RumorMaxInFlight: 256,
 			// MaxQueuePct and MaxLatencyMS default off: a degraded feeder
 			// already sheds ingestion via the bounded queue, and turning
@@ -160,8 +157,8 @@ func (r Runtime) Validate() error {
 		return fmt.Errorf("config: negative queue-block-ms %d", d.QueueBlockMS)
 	case d.HoardBudgetMB < 0:
 		return fmt.Errorf("config: negative hoard budget %d MB", d.HoardBudgetMB)
-	case d.Shards < 0:
-		return fmt.Errorf("config: negative shard count %d", d.Shards)
+	case d.Shards < 1:
+		return fmt.Errorf("config: shard count %d < 1", d.Shards)
 	case d.Shards > 1024:
 		return fmt.Errorf("config: shard count %d > 1024", d.Shards)
 	case d.GatewayRetries < 0:
@@ -194,7 +191,7 @@ func (r Runtime) Validate() error {
 	}
 	a := r.Admit
 	switch {
-	case a.PlanMaxInFlight < 0 || a.MissMaxInFlight < 0 || a.RumorMaxInFlight < 0:
+	case a.PlanMaxInFlight < 0 || a.RumorMaxInFlight < 0:
 		return fmt.Errorf("config: negative admission in-flight limit")
 	case a.MaxQueuePct < 0 || a.MaxQueuePct > 100:
 		return fmt.Errorf("config: max-queue-pct %d outside [0,100]", a.MaxQueuePct)
@@ -327,9 +324,6 @@ func buildKnobs() []Knob {
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.DebugAddr })
 	add(spec{name: "debug-addr", usage: "optional listen address for pprof and debug endpoints",
 		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.DB })
-	add(spec{name: "db", usage: "database file: restored at start, saved after input",
-		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Follow })
 	add(spec{name: "follow", usage: "keep tailing the strace file for appended lines (requires -listen)",
 		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
@@ -337,10 +331,10 @@ func buildKnobs() []Knob {
 	add(spec{name: "rumor", usage: "serve the CheapRumor replication-master endpoints under /rumor/ (requires -listen)",
 		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.Shards })
-	add(spec{name: "shards", usage: "host this many fault-isolated user shards behind the gateway (0 = single-tenant; requires -listen)",
+	add(spec{name: "shards", usage: "host this many fault-isolated user shards behind the gateway (with 1, the strace input feeds it; more require -listen)",
 		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.ShardDir })
-	add(spec{name: "shard-dir", usage: "directory for per-shard snapshot files (empty = no shard checkpoints)",
+	add(spec{name: "shard-dir", usage: "directory for per-shard snapshot files shard-NNN.db: restored at start, checkpointed while serving and at exit (empty = no checkpoints)",
 		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.RumorURL })
 	add(spec{name: "rumor-url", usage: "upstream replication-master base URL for traced hoard-fill syncs (empty = no sync)",
@@ -362,7 +356,7 @@ func buildKnobs() []Knob {
 		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
 
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueCap })
-	add(spec{name: "queue", usage: "bounded ingestion queue capacity between the tailer and the correlator",
+	add(spec{name: "queue", usage: "bounded ingestion queue capacity of each shard",
 		daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueBlockMS })
 	add(spec{name: "queue-block-ms", usage: "how long an overflowing queue put blocks before shedding the oldest event",
@@ -396,16 +390,13 @@ func buildKnobs() []Knob {
 		daemons: ForSeerd, set: set, get: get})
 
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.PlanMaxInFlight })
-	add(spec{name: "admit-plan-inflight", usage: "max concurrent /plan,/hoard,/clusters requests (0 = unlimited)",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MissMaxInFlight })
-	add(spec{name: "admit-miss-inflight", usage: "max concurrent /miss,/stats requests (0 = unlimited)",
+	add(spec{name: "admit-plan-inflight", usage: "max concurrent requests per shard across its routed endpoints (0 = unlimited)",
 		daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.RumorMaxInFlight })
 	add(spec{name: "admit-rumor-inflight", usage: "max concurrent /rumor/ requests (0 = unlimited)",
 		daemons: ForSeerd | ForRumord, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MaxQueuePct })
-	add(spec{name: "admit-queue-pct", usage: "shed plan requests while the ingestion queue is at least this percent full (0 = disabled)",
+	add(spec{name: "admit-queue-pct", usage: "shed a shard's requests while its ingestion queue is at least this percent full (0 = disabled)",
 		daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MaxLatencyMS })
 	add(spec{name: "admit-latency-ms", usage: "shed requests while recent endpoint latency exceeds this EWMA in ms (0 = disabled)",

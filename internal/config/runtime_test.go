@@ -66,8 +66,8 @@ param SkipUnfittingClusters false
 		t.Errorf("params not applied: KNear=%d Skip=%v", r.Params.KNear, r.Params.SkipUnfittingClusters)
 	}
 	// Untouched keys keep their base values.
-	if r.Admit.MissMaxInFlight != DefaultRuntime().Admit.MissMaxInFlight {
-		t.Errorf("untouched key changed: %d", r.Admit.MissMaxInFlight)
+	if r.Admit.RumorMaxInFlight != DefaultRuntime().Admit.RumorMaxInFlight {
+		t.Errorf("untouched key changed: %d", r.Admit.RumorMaxInFlight)
 	}
 }
 
@@ -79,6 +79,9 @@ func TestApplyFileRejectsUnknownAndMalformed(t *testing.T) {
 		"queue notanumber\n",
 		"param NoSuchParam 3\n",
 		"param KNear\n",
+		// Retired knobs fail loudly rather than silently starting fresh.
+		"db seer.db\n",
+		"admit-miss-inflight 4\n",
 	} {
 		r := DefaultRuntime()
 		if err := ApplyFile(&r, strings.NewReader(src)); err == nil {
@@ -106,6 +109,20 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 	}
 }
 
+// The retired -db flag is refused, never silently ignored: a daemon
+// pointed at its old snapshot must not start from an empty database.
+func TestRetiredSeerdFlagsRefused(t *testing.T) {
+	for _, args := range [][]string{{"-db", "seer.db"}, {"-admit-miss-inflight", "4"}} {
+		r := DefaultRuntime()
+		fs := flag.NewFlagSet("seerd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterFlags(fs, &r, ForSeerd)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("seerd accepted retired flag %v", args)
+		}
+	}
+}
+
 func TestRumordFlagParity(t *testing.T) {
 	// The PR-5 logging flags must exist on rumord via the shared knob
 	// table, alongside its admission knobs.
@@ -119,7 +136,7 @@ func TestRumordFlagParity(t *testing.T) {
 			t.Errorf("rumord flag set lacks -%s", name)
 		}
 	}
-	if fs.Lookup("strace") != nil || fs.Lookup("db") != nil {
+	if fs.Lookup("strace") != nil || fs.Lookup("shard-dir") != nil {
 		t.Error("rumord flag set has seerd-only knobs")
 	}
 	if err := fs.Parse([]string{"-log-level", "debug", "-log-format", "json"}); err != nil {

@@ -15,15 +15,13 @@ import (
 	"github.com/fmg/seer/internal/hoard"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/stats"
-	"github.com/fmg/seer/internal/supervise"
 )
 
 // contentText is the Content-Type of every text endpoint.
 const contentText = "text/plain; charset=utf-8"
 
 // StaleHeader marks a response served from a shard's last-good plan
-// cache rather than a fresh clustering (same header the single-tenant
-// daemon uses).
+// cache rather than a fresh clustering.
 const StaleHeader = "X-Seer-Stale"
 
 // maxIngestBody bounds one POST /events body: big enough for a day of
@@ -164,8 +162,8 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// Handler returns the gateway mux: the single-tenant endpoints, each
-// taking ?user= for routing, plus the /shards operations surface.
+// Handler returns the gateway mux: the decision and ingest endpoints,
+// each taking ?user= for routing, plus the /shards operations surface.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plan", g.handlePlan)
@@ -174,10 +172,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/miss", g.handleMiss)
 	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/events", g.handleEvents)
-	mux.HandleFunc("/shards", g.handleShards)
+	mux.HandleFunc("/shards", g.HandleShards)
 	mux.HandleFunc("/shards/drain", g.handleDrain)
-	mux.HandleFunc("/healthz", g.healthHandler(false))
-	mux.HandleFunc("/readyz", g.healthHandler(true))
 	return mux
 }
 
@@ -324,8 +320,17 @@ func (g *Gateway) write(w http.ResponseWriter, out outcome) {
 	w.Write(out.body)
 }
 
-// user extracts the routing key; "" means the caller forgot it.
-func user(req *http.Request) string { return req.URL.Query().Get("user") }
+// user extracts the routing key. A missing key is refused only when
+// there is a choice of slot: with one slot every user routes to it, so
+// clients that never send ?user= keep working.
+func (g *Gateway) user(w http.ResponseWriter, req *http.Request) (string, bool) {
+	u := req.URL.Query().Get("user")
+	if u == "" && g.mgr.Len() > 1 {
+		http.Error(w, "missing user parameter", http.StatusBadRequest)
+		return "", false
+	}
+	return u, true
+}
 
 // TraceHeader echoes the request's trace id back to the client, so
 // `curl -i` hands the operator the id to feed `seerctl trace`.
@@ -362,9 +367,8 @@ func (g *Gateway) traced(ctx context.Context, req *http.Request, endpoint, user 
 // route under the root span, render.
 func (g *Gateway) serve(w http.ResponseWriter, req *http.Request, endpoint string, op shardOp) {
 	w.Header().Set("Content-Type", contentText)
-	u := user(req)
-	if u == "" {
-		http.Error(w, "missing user parameter", http.StatusBadRequest)
+	u, ok := g.user(w, req)
+	if !ok {
 		return
 	}
 	ctx, cancel := g.boundCtx(req)
@@ -399,8 +403,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleMiss records a hoard miss on the user's shard: POST
-// /miss?user=alice&path=/home/alice/file.c (method discipline matches
-// the single-tenant daemon).
+// /miss?user=alice&path=/home/alice/file.c; other methods get 405 with
+// Allow.
 func (g *Gateway) handleMiss(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", contentText)
 	if req.Method != http.MethodPost {
@@ -438,9 +442,8 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed; use POST", http.StatusMethodNotAllowed)
 		return
 	}
-	u := user(req)
-	if u == "" {
-		http.Error(w, "missing user parameter", http.StatusBadRequest)
+	u, ok := g.user(w, req)
+	if !ok {
 		return
 	}
 	var lines []string
@@ -467,8 +470,9 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 	g.write(w, out)
 }
 
-// handleShards renders the manager report as JSON.
-func (g *Gateway) handleShards(w http.ResponseWriter, req *http.Request) {
+// HandleShards renders the manager report as JSON (served on both the
+// gateway and seerd's debug listener).
+func (g *Gateway) HandleShards(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		Shards []Info `json:"shards"`
@@ -500,24 +504,4 @@ func (g *Gateway) handleDrain(w http.ResponseWriter, req *http.Request) {
 	}
 	fmt.Fprintf(w, "shard %d drained and replaced; replacement replayed %d events\n",
 		idx, g.mgr.Shard(idx).Events())
-}
-
-// healthHandler serves the aggregated multi-shard health: the process
-// verdict plus every shard's own state, so an operator sees which
-// bulkhead is hurting. ready additionally requires Healthy (readiness
-// gates rollouts harder than liveness).
-func (g *Gateway) healthHandler(ready bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		h := g.mgr.Health()
-		w.Header().Set("Content-Type", "application/json")
-		code := http.StatusOK
-		if h == supervise.Unavailable || (ready && h != supervise.Healthy) {
-			code = http.StatusServiceUnavailable
-		}
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(struct {
-			State  string `json:"state"`
-			Shards []Info `json:"shards"`
-		}{h.String(), g.mgr.Report()})
-	}
 }

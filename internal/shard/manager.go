@@ -2,13 +2,13 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/fmg/seer/internal/admit"
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/replic"
@@ -57,9 +57,11 @@ type Manager struct {
 
 	mu    sync.RWMutex
 	slots []*Shard
-	// retired accumulates restart counts from each slot's retired
-	// shards so seer_shard_restarts_total survives a drain/replace.
-	retired []uint64
+	// retired and retiredDrops accumulate stage restarts and queue sheds
+	// from each slot's retired shards, so the per-slot counters stay
+	// monotonic across a drain/replace.
+	retired      []uint64
+	retiredDrops []uint64
 	// replaced counts completed drain/replace cycles per slot.
 	replaced []uint64
 	// draining marks slots with a drain in flight (refuses a second).
@@ -87,15 +89,16 @@ func NewManager(ctx context.Context, cfg ManagerConfig) *Manager {
 	}
 	mctx, cancel := context.WithCancel(ctx)
 	m := &Manager{
-		cfg:      cfg,
-		ring:     NewRing(cfg.Shards, cfg.Vnodes),
-		log:      cfg.Logger.With("component", "shardmgr"),
-		ctx:      mctx,
-		cancel:   cancel,
-		slots:    make([]*Shard, cfg.Shards),
-		retired:  make([]uint64, cfg.Shards),
-		replaced: make([]uint64, cfg.Shards),
-		draining: make([]bool, cfg.Shards),
+		cfg:          cfg,
+		ring:         NewRing(cfg.Shards, cfg.Vnodes),
+		log:          cfg.Logger.With("component", "shardmgr"),
+		ctx:          mctx,
+		cancel:       cancel,
+		slots:        make([]*Shard, cfg.Shards),
+		retired:      make([]uint64, cfg.Shards),
+		retiredDrops: make([]uint64, cfg.Shards),
+		replaced:     make([]uint64, cfg.Shards),
+		draining:     make([]bool, cfg.Shards),
 	}
 	var wg sync.WaitGroup
 	for i := range m.slots {
@@ -109,23 +112,48 @@ func NewManager(ctx context.Context, cfg ManagerConfig) *Manager {
 		}(i)
 	}
 	wg.Wait()
-	// One restarts series per slot, registered once: the func folds the
-	// retired shards' restarts into the live shard's so the counter is
-	// monotonic across drain/replace cycles.
-	restarts := cfg.Metrics.CounterFuncVec("seer_shard_restarts_total",
+	m.registerMetrics()
+	m.log.Info("shards open", "count", cfg.Shards, "dir", cfg.Dir)
+	return m
+}
+
+// registerMetrics binds the per-slot func families once per slot: each
+// reads the slot's current shard at scrape time, and the counters fold
+// in the slot's retired shards so they stay monotonic across
+// drain/replace.
+func (m *Manager) registerMetrics() {
+	reg := m.cfg.Metrics
+	restarts := reg.CounterFuncVec("seer_shard_restarts_total",
 		"Stage restarts within the shard's supervision tree (monotonic across drain/replace).",
 		"shard")
+	depth := reg.GaugeFuncVec("seer_queue_depth",
+		"Events waiting in the shard's ingestion queue.", "shard")
+	capacity := reg.GaugeFuncVec("seer_queue_capacity",
+		"Capacity of the shard's ingestion queue.", "shard")
+	shed := reg.CounterFuncVec("seer_queue_shed_total",
+		"Events shed by the shard's bounded queue under overload (monotonic across drain/replace).",
+		"shard")
 	for i := range m.slots {
-		i := i
+		i, label := i, strconv.Itoa(i)
 		restarts.Register(func() float64 {
 			m.mu.RLock()
 			defer m.mu.RUnlock()
 			return float64(m.retired[i] + m.slots[i].Restarts())
-		}, strconv.Itoa(i))
+		}, label)
+		depth.Register(func() float64 { return float64(m.Shard(i).queue.Len()) }, label)
+		capacity.Register(func() float64 { return float64(m.Shard(i).queue.Cap()) }, label)
+		shed.Register(func() float64 {
+			m.mu.RLock()
+			defer m.mu.RUnlock()
+			return float64(m.retiredDrops[i] + m.slots[i].queue.Drops())
+		}, label)
 	}
-	m.log.Info("shards open", "count", cfg.Shards, "dir", cfg.Dir)
-	return m
 }
+
+// StaleServed returns the process-wide count of reads answered from a
+// last-good cache (monotonic across drain/replace) — the stale half of
+// the SLO's bad events.
+func (m *Manager) StaleServed() uint64 { return staleCounter(m.cfg.Metrics).Value() }
 
 // shardConfig derives slot i's shard Config from the manager's Runtime.
 func (m *Manager) shardConfig(i int) Config {
@@ -144,12 +172,7 @@ func (m *Manager) shardConfig(i int) Config {
 		CheckpointEvery: m.cfg.CheckpointEvery,
 		Supervisor:      m.cfg.Supervisor,
 		Rumor:           m.cfg.Rumor,
-		Limits: admit.Limits{
-			MaxInFlight: rt.Admit.PlanMaxInFlight,
-			MaxQueuePct: rt.Admit.MaxQueuePct,
-			MaxLatency:  time.Duration(rt.Admit.MaxLatencyMS) * time.Millisecond,
-			RetryAfter:  time.Duration(rt.Admit.RetryAfterSec) * time.Second,
-		},
+		Limits:          limitsFromRuntime(rt),
 	}
 }
 
@@ -226,6 +249,7 @@ func (m *Manager) Drain(ctx context.Context, i int) error {
 	repl := Open(m.ctx, m.shardConfig(i))
 	m.mu.Lock()
 	m.retired[i] += old.Restarts()
+	m.retiredDrops[i] += old.queue.Drops()
 	m.replaced[i]++
 	m.slots[i] = repl
 	m.mu.Unlock()
@@ -286,6 +310,8 @@ type Info struct {
 	Stale    int64  `json:"stale_served"`
 	Sheds    uint64 `json:"sheds"`
 	Draining bool   `json:"draining,omitempty"`
+	// Problems names the shard's unhealthy stages and probes.
+	Problems []string `json:"problems,omitempty"`
 }
 
 // Report snapshots every slot for /shards and seerctl shards.
@@ -295,10 +321,11 @@ func (m *Manager) Report() []Info {
 	out := make([]Info, len(m.slots))
 	for i, s := range m.slots {
 		depth, capacity, drops := s.QueueStats()
+		health := s.Health()
 		out[i] = Info{
 			Shard:    i,
 			State:    s.State().String(),
-			Health:   s.Health().String(),
+			Health:   health.String(),
 			Events:   s.Events(),
 			Queue:    depth,
 			QueueCap: capacity,
@@ -309,24 +336,29 @@ func (m *Manager) Report() []Info {
 			Sheds:    s.Limiter().Sheds(),
 			Draining: m.draining[i],
 		}
+		if health != supervise.Healthy {
+			out[i].Problems = s.Problems()
+		}
 	}
 	return out
 }
 
 // Close drains every shard concurrently (process shutdown: each writes
-// its final checkpoint) and releases the manager.
-func (m *Manager) Close() {
+// its final checkpoint) and releases the manager. It returns the
+// shards' drain errors joined — a failed final checkpoint means learned
+// state was lost, which the caller must be able to report.
+func (m *Manager) Close() error {
 	shards := m.Shards()
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for _, s := range shards {
+	for i, s := range shards {
 		wg.Add(1)
-		go func(s *Shard) {
+		go func(i int, s *Shard) {
 			defer wg.Done()
-			if err := s.Close(); err != nil {
-				m.log.Warn("shard close", "shard", s.ID(), "err", err)
-			}
-		}(s)
+			errs[i] = s.Close()
+		}(i, s)
 	}
 	wg.Wait()
 	m.cancel()
+	return errors.Join(errs...)
 }

@@ -1,10 +1,11 @@
-// Package shard turns seerd into a fault-isolated multi-tenant host:
-// N independent user shards live in one process, each one a bulkhead
-// owning its own supervised pipeline — bounded ingestion queue,
-// correlator with its warm cluster cache, admission limiter, and SEERDB
-// checkpoint path — so a panic, wedged clustering, or corrupt database
-// in one tenant's shard degrades only that tenant and never restarts or
-// stalls its neighbors.
+// Package shard is seerd's pipeline: N independent user shards live in
+// one process (one by default — the paper's single-user daemon is the
+// one-slot deployment), each one a bulkhead owning its own supervised
+// pipeline — bounded ingestion queue, correlator with its warm cluster
+// cache, admission limiter, health probes, and SEERDB checkpoint path —
+// so a panic, wedged clustering, or corrupt database in one tenant's
+// shard degrades only that tenant and never restarts or stalls its
+// neighbors.
 //
 // The paper's predictive hoarding is inherently per-user (each mobile
 // client has its own observed accesses, clusters, and hoard plan, §3
@@ -149,6 +150,16 @@ type Config struct {
 	Rumor *replic.RemoteRumor
 }
 
+// Health-probe thresholds: consecutive checkpoint failures, and
+// consecutive stale or failed plan builds, before the shard degrades;
+// and how long after the limiter's last shed the admission probe keeps
+// the shard degraded.
+const (
+	ckptDegradedAfter = 3
+	planDegradedAfter = 2
+	shedWindow        = 15 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
@@ -243,14 +254,27 @@ type Shard struct {
 	lastTrace atomic.Uint64
 	staleSrv  atomic.Int64
 
+	// The health probes' inputs: consecutive checkpoint failures and the
+	// last success (unix nano, 0 = never), consecutive stale or failed
+	// plan builds and the last fresh one.
+	ckptFailures atomic.Int64
+	ckptOKAt     atomic.Int64
+	planFails    atomic.Int64
+	planOKAt     atomic.Int64
+
 	// Shared aggregate counters (deduped by name on the registry).
 	mPlans  *obs.Counter
 	mStale  *obs.Counter
 	mMisses *obs.Counter
+	// Paper-§5 gauges of the latest fresh hoard, labelled by shard.
+	mHoardFiles  *obs.Gauge
+	mHoardBytes  *obs.Gauge
+	mMissFree    *obs.Gauge
+	mUnhoardable *obs.Gauge
 
-	// feedHook, when set, runs before each event is fed — the chaos
-	// tests' panic-injection point (atomic: injected while the feeder
-	// runs).
+	// feedHook, when set, runs under the correlator lock before each
+	// event is fed — the chaos tests' injection point for feeder panics
+	// and wedged correlators (atomic: injected while the feeder runs).
 	feedHook atomic.Pointer[func(trace.Event)]
 	// wrapSave, when set, decorates the checkpoint op (fault.Sink).
 	wrapSave atomic.Pointer[func(func() error) error]
@@ -285,10 +309,19 @@ func Open(ctx context.Context, cfg Config) *Shard {
 	s.lim.SetLimits(cfg.Limits)
 	s.mPlans = cfg.Metrics.Counter("seer_plans_built_total",
 		"Hoard-plan constructions (the /plan and /hoard endpoints plus one-shot mode).")
-	s.mStale = cfg.Metrics.Counter("seer_stale_plans_served_total",
-		"Plan/hoard responses served from the last-good cache.")
+	s.mStale = staleCounter(cfg.Metrics)
 	s.mMisses = cfg.Metrics.Counter("seer_hoard_misses_total",
 		"Hoard misses recorded through /miss (paper §4.4).")
+	s.mHoardFiles = cfg.Metrics.GaugeVec("seer_hoard_files",
+		"Files chosen by the shard's most recent hoard fill.", "shard").With(s.name)
+	s.mHoardBytes = cfg.Metrics.GaugeVec("seer_hoard_bytes",
+		"Bytes used by the shard's most recent hoard fill.", "shard").With(s.name)
+	s.mMissFree = cfg.Metrics.GaugeVec("seer_hoard_missfree_bytes",
+		"Hoard size that would have served every reference the shard observed without a miss (paper §5).",
+		"shard").With(s.name)
+	s.mUnhoardable = cfg.Metrics.GaugeVec("seer_hoard_unhoardable_files",
+		"Referenced files absent from the shard's current plan (would miss at any budget).",
+		"shard").With(s.name)
 
 	opts := core.Options{Params: &cfg.Params, Seed: cfg.Seed, Metrics: cfg.Metrics}
 	s.corr = RestoreSnapshot(s.dbPath(), opts, s.log)
@@ -299,7 +332,7 @@ func Open(ctx context.Context, cfg Config) *Shard {
 		sc.OnEvent = func(e supervise.Event) {
 			if e.Err != nil {
 				slog.Error("stage failure", "stage", e.Stage, "kind", e.Kind,
-					"err", firstLine(e.Err.Error()))
+					"err", supervise.FirstLine(e.Err.Error()))
 			}
 		}
 	}
@@ -308,6 +341,7 @@ func Open(ctx context.Context, cfg Config) *Shard {
 	if s.dbPath() != "" {
 		s.sup.Add("checkpointer", s.checkpointStage)
 	}
+	s.addProbes()
 
 	sctx, cancel := context.WithCancel(ctx)
 	s.cancel = cancel
@@ -315,6 +349,100 @@ func Open(ctx context.Context, cfg Config) *Shard {
 	s.started.Store(true)
 	s.setState(Serving)
 	return s
+}
+
+// staleCounter is the process-wide count of stale reads, shared by
+// every shard (and the manager's SLO feed) through the registry.
+func staleCounter(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("seer_stale_plans_served_total",
+		"Plan/hoard responses served from the last-good cache.")
+}
+
+// addProbes registers the shard's health probes: ingestion-queue
+// pressure, checkpoint failures, recent admission shedding, and stale
+// or failed plan builds. Each degrades only this shard.
+func (s *Shard) addProbes() {
+	s.sup.AddProbe("queue", func() supervise.Probe {
+		depth, capacity, drops := s.QueueStats()
+		st := supervise.Healthy
+		if depth*10 >= capacity*9 {
+			st = supervise.Degraded
+		}
+		return supervise.Probe{State: st,
+			Detail: fmt.Sprintf("depth=%d/%d drops=%d", depth, capacity, drops)}
+	})
+	if s.dbPath() != "" {
+		s.sup.AddProbe("checkpoint", func() supervise.Probe {
+			return streakProbe(s.ckptFailures.Load(), ckptDegradedAfter,
+				s.ckptOKAt.Load(), "last_success_age", "")
+		})
+	}
+	s.sup.AddProbe("admission", func() supervise.Probe {
+		if s.lim.ShedRecently(shedWindow) {
+			return supervise.Probe{State: supervise.Degraded, Detail: "shedding recently"}
+		}
+		return supervise.Probe{State: supervise.Healthy, Detail: "no recent shedding"}
+	})
+	s.sup.AddProbe("plan", func() supervise.Probe {
+		return streakProbe(s.planFails.Load(), planDegradedAfter, s.planOKAt.Load(),
+			"last_fresh_age", fmt.Sprintf(" stale_served=%d", s.staleSrv.Load()))
+	})
+}
+
+// streakProbe degrades once fails consecutive failures reach limit,
+// reporting the age of the last success (okAt, unix nano; 0 = never).
+func streakProbe(fails, limit, okAt int64, ageKey, extra string) supervise.Probe {
+	st := supervise.Healthy
+	if fails >= limit {
+		st = supervise.Degraded
+	}
+	detail := fmt.Sprintf("consecutive_failures=%d", fails) + extra
+	if okAt > 0 {
+		detail += fmt.Sprintf(" %s=%s", ageKey, time.Since(time.Unix(0, okAt)).Round(time.Second))
+	}
+	return supervise.Probe{State: st, Detail: detail}
+}
+
+// SetFeedHook installs fn to run under the correlator lock before each
+// event is fed (nil removes it): a panicking hook kills the feeder, a
+// blocking one wedges the correlator.
+func (s *Shard) SetFeedHook(fn func(trace.Event)) {
+	if fn == nil {
+		s.feedHook.Store(nil)
+		return
+	}
+	s.feedHook.Store(&fn)
+}
+
+// SetSaveWrapper decorates every periodic checkpoint with fn (nil
+// removes it), e.g. fault.Sink.Do to fail the disk on demand.
+func (s *Shard) SetSaveWrapper(fn func(func() error) error) {
+	if fn == nil {
+		s.wrapSave.Store(nil)
+		return
+	}
+	s.wrapSave.Store(&fn)
+}
+
+// Problems names the shard's unhealthy stages and probes, e.g.
+// "checkpoint: consecutive_failures=3"; empty while healthy.
+func (s *Shard) Problems() []string {
+	if s.State() == Closed {
+		return nil
+	}
+	rep := s.sup.Report()
+	var out []string
+	for _, st := range rep.Stages {
+		if st.State == supervise.StageBackoff.String() || st.State == supervise.StageBroken.String() {
+			out = append(out, st.Name+": "+st.State)
+		}
+	}
+	for _, p := range rep.Probes {
+		if p.State != supervise.Healthy.String() {
+			out = append(out, p.Name+": "+p.Detail)
+		}
+	}
+	return out
 }
 
 // dbPath is the shard's snapshot path ("" when checkpointing is off).
@@ -364,6 +492,14 @@ func (s *Shard) QueueStats() (depth, capacity int, drops uint64) {
 // correlator, so no lock needed for an operator view).
 func (s *Shard) Events() uint64 { return s.corr.Events() }
 
+// Params returns the correlator's active tunables, read under the
+// correlator lock (so it waits out a feed or a clustering in progress).
+func (s *Shard) Params() config.Params {
+	s.lock()
+	defer s.unlock()
+	return s.corr.Params()
+}
+
 // StaleServed returns how many reads the shard answered from its
 // last-good cache.
 func (s *Shard) StaleServed() int64 { return s.staleSrv.Load() }
@@ -407,21 +543,21 @@ func (s *Shard) stateErr() error {
 // ctx ends first (a stage shutdown racing a wedged correlator) — the
 // caller re-queues the event so the drain fold still sees it.
 func (s *Shard) feedCtx(ctx context.Context, ev trace.Event) bool {
-	if h := s.feedHook.Load(); h != nil {
-		(*h)(ev)
-	}
 	if !s.lockCtx(ctx) {
 		return false
 	}
+	defer s.unlock()
+	if h := s.feedHook.Load(); h != nil {
+		(*h)(ev)
+	}
 	s.corr.Feed(ev)
-	s.unlock()
 	return true
 }
 
 // feedStage drains the queue into the correlator, one span per
-// contiguous same-trace run (mirrors the single-tenant feeder). On
-// shutdown an event the stage could not feed goes back into the queue
-// rather than being dropped: Drain folds whatever is left.
+// contiguous same-trace run. On shutdown an event the stage could not
+// feed goes back into the queue rather than being dropped: Drain folds
+// whatever is left.
 func (s *Shard) feedStage(ctx context.Context) error {
 	for {
 		qe, ok := s.queue.Get(ctx)
@@ -467,8 +603,10 @@ func (s *Shard) feedStage(ctx context.Context) error {
 	}
 }
 
-// checkpointStage periodically snapshots the shard's database; failures
-// are logged and retried next interval, never fatal to the stage.
+// checkpointStage periodically snapshots the shard's database. Failures
+// are logged, counted for the checkpoint probe (degraded after
+// ckptDegradedAfter in a row), and retried next interval — never fatal
+// to the stage.
 func (s *Shard) checkpointStage(ctx context.Context) error {
 	t := time.NewTicker(s.cfg.CheckpointEvery)
 	defer t.Stop()
@@ -479,7 +617,11 @@ func (s *Shard) checkpointStage(ctx context.Context) error {
 		case <-t.C:
 		}
 		if err := s.save(); err != nil {
+			s.ckptFailures.Add(1)
 			s.log.Warn("checkpoint failed", "err", err)
+		} else {
+			s.ckptFailures.Store(0)
+			s.ckptOKAt.Store(time.Now().UnixNano())
 		}
 	}
 }
@@ -498,11 +640,11 @@ func (s *Shard) save() error {
 }
 
 // IngestLines parses strace lines and enqueues the resulting events as
-// one traced batch. A gateway-propagated span context on ctx parents
-// the ingest span (and through it the feed span) inside the request's
-// distributed trace; without one the batch mints its own trace id.
-// Only a serving shard ingests; any other state is a transient error
-// the gateway retries against the slot's replacement.
+// one traced batch. A span context on ctx (the gateway request, or
+// seerd's strace bootstrap and tailer) parents the ingest span, and
+// through it the feed span; without one the batch mints its own trace
+// id. Only a serving shard ingests; any other state is a transient
+// error the caller retries against the slot's replacement.
 func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
 	if err := s.stateErr(); err != nil {
 		return 0, err
@@ -518,7 +660,7 @@ func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
 		tid = s.tracer.NewTrace()
 		sp = s.tracer.StartSpan(tid, "ingest")
 	}
-	sp = sp.Attr("shard", s.name).Attr("source", "gateway")
+	sp = sp.Attr("shard", s.name)
 	var n int
 	s.parserMu.Lock()
 	evs := make([]trace.Event, 0, len(lines))
@@ -556,66 +698,74 @@ func (s *Shard) serveStale(hoard bool) ([]byte, bool, error) {
 // deadline-bound clustering falls back to the cache too. The stale
 // return reports whether the body came from the cache.
 func (s *Shard) Plan(ctx context.Context) (body []byte, stale bool, err error) {
-	switch s.State() {
-	case Opening:
-		return nil, false, ErrOpening
-	case Closed:
-		return nil, false, ErrClosed
-	case Draining:
-		return s.serveStale(false)
-	}
-	sp := s.reqSpan(ctx, "plan")
-	defer sp.End()
-	if !s.lockCtx(ctx) {
-		sp.Attr("outcome", "stale")
-		return s.serveStale(false)
-	}
-	s.mPlans.Inc()
-	plan, perr := s.corr.PlanContext(ctx)
-	if perr != nil {
-		s.unlock()
-		sp.Attr("outcome", "stale")
-		return s.serveStale(false)
-	}
-	var buf bytes.Buffer
-	for i, e := range plan.Entries {
-		fmt.Fprintf(&buf, "%5d %8s %10d %12d %s\n",
-			i, e.Reason, e.File.Size, e.Cum, e.File.Path)
-	}
-	s.unlock()
-	sp.Attr("outcome", "fresh").AttrInt("entries", int64(len(plan.Entries)))
-	s.plans.set(false, buf.Bytes())
-	return buf.Bytes(), false, nil
+	return s.read(ctx, false)
 }
 
 // Hoard renders the chosen files at the shard's budget with the same
-// stale-fallback discipline as Plan.
+// stale-fallback discipline as Plan; a fresh answer also pre-fetches the
+// hoard's head from the rumor master.
 func (s *Shard) Hoard(ctx context.Context) (body []byte, stale bool, err error) {
+	return s.read(ctx, true)
+}
+
+// read is Plan (hoard=false) or Hoard (hoard=true). Every stale or
+// failed build counts toward the plan probe; a fresh one resets it.
+func (s *Shard) read(ctx context.Context, hoard bool) ([]byte, bool, error) {
 	switch s.State() {
 	case Opening:
 		return nil, false, ErrOpening
 	case Closed:
 		return nil, false, ErrClosed
 	case Draining:
-		return s.serveStale(true)
+		return s.serveStale(hoard)
 	}
-	sp := s.reqSpan(ctx, "hoard")
+	stage := "plan"
+	if hoard {
+		stage = "hoard"
+	}
+	sp := s.reqSpan(ctx, stage)
 	defer sp.End()
-	if !s.lockCtx(ctx) {
-		sp.Attr("outcome", "stale")
-		return s.serveStale(true)
+	var (
+		buf bytes.Buffer
+		ids []simfs.FileID
+		err = ErrNoPlan
+	)
+	if s.lockCtx(ctx) {
+		if hoard {
+			ids, err = s.renderHoard(ctx, &buf)
+		} else {
+			err = s.renderPlan(ctx, &buf, sp)
+		}
+		s.unlock()
 	}
-	var buf bytes.Buffer
-	ids, herr := s.renderHoard(ctx, &buf)
-	s.unlock()
-	if herr != nil {
+	if err != nil {
 		sp.Attr("outcome", "stale")
-		return s.serveStale(true)
+		s.planFails.Add(1)
+		return s.serveStale(hoard)
 	}
 	sp.Attr("outcome", "fresh")
-	s.plans.set(true, buf.Bytes())
-	s.hoardFill(ctx, sp, ids)
+	s.planFails.Store(0)
+	s.planOKAt.Store(time.Now().UnixNano())
+	s.plans.set(hoard, buf.Bytes())
+	if hoard {
+		s.hoardFill(ctx, sp, ids)
+	}
 	return buf.Bytes(), false, nil
+}
+
+// renderPlan writes the inclusion order (caller holds the lock).
+func (s *Shard) renderPlan(ctx context.Context, w *bytes.Buffer, sp *obs.ActiveSpan) error {
+	s.mPlans.Inc()
+	plan, err := s.corr.PlanContext(ctx)
+	if err != nil {
+		return err
+	}
+	for i, e := range plan.Entries {
+		fmt.Fprintf(w, "%5d %8s %10d %12d %s\n",
+			i, e.Reason, e.File.Size, e.Cum, e.File.Path)
+	}
+	sp.AttrInt("entries", int64(len(plan.Entries)))
+	return nil
 }
 
 // hoardFillMax bounds how many files one /hoard answer pre-fetches from
@@ -648,7 +798,7 @@ func (s *Shard) hoardFill(ctx context.Context, sp *obs.ActiveSpan, ids []simfs.F
 
 // reqSpan opens the span for a read request: parented on the gateway's
 // propagated span context when ctx carries one, else tagged onto the
-// shard's last ingest trace (the single-tenant daemon's convention).
+// shard's last ingest trace (direct callers outside the gateway).
 func (s *Shard) reqSpan(ctx context.Context, stage string) *obs.ActiveSpan {
 	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Valid() {
 		return s.tracer.StartChild(sc, stage).Attr("shard", s.name)
@@ -657,7 +807,9 @@ func (s *Shard) reqSpan(ctx context.Context, stage string) *obs.ActiveSpan {
 }
 
 // renderHoard writes the hoard listing and returns the chosen file ids
-// (caller holds the lock).
+// (caller holds the lock). It also refreshes the shard's hoard gauges,
+// including the paper-§5 miss-free size: the hoard that would have
+// served every currently observed reference.
 func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, error) {
 	s.mPlans.Inc()
 	plan, err := s.corr.PlanContext(ctx)
@@ -665,6 +817,16 @@ func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, e
 		return nil, err
 	}
 	contents := plan.Fill(s.budget.Load(), s.corr.Params().SkipUnfittingClusters)
+	refs := s.corr.Observer().LastRefs()
+	referenced := make([]simfs.FileID, 0, len(refs))
+	for id := range refs {
+		referenced = append(referenced, id)
+	}
+	missFree, unhoardable := plan.MissFreeSize(referenced)
+	s.mHoardFiles.Set(int64(contents.Len()))
+	s.mHoardBytes.Set(contents.UsedBytes())
+	s.mMissFree.Set(missFree)
+	s.mUnhoardable.Set(int64(unhoardable))
 	fmt.Fprintf(w, "# hoard: %d files, %d bytes of %d budget\n",
 		contents.Len(), contents.UsedBytes(), contents.Budget())
 	for _, l := range []struct {
@@ -760,13 +922,13 @@ func (s *Shard) ApplyRuntime(rt config.Runtime) bool {
 	s.queue.SetCap(rt.Daemon.QueueCap)
 	s.queue.SetBlock(time.Duration(rt.Daemon.QueueBlockMS) * time.Millisecond)
 	s.budget.Store(rt.Daemon.HoardBudgetMB << 20)
-	lat := time.Duration(rt.Admit.MaxLatencyMS) * time.Millisecond
-	s.lim.SetLimits(admit.Limits{
-		MaxInFlight: rt.Admit.PlanMaxInFlight,
-		MaxQueuePct: rt.Admit.MaxQueuePct,
-		MaxLatency:  lat,
-		RetryAfter:  time.Duration(rt.Admit.RetryAfterSec) * time.Second,
-	})
+	s.lim.SetLimits(limitsFromRuntime(rt))
+	// An admission- or queue-only reload never waits on the correlator
+	// lock (a wedged clustering must not stall it). cfg.Params tracks
+	// the last applied set; reloads reach a shard one at a time.
+	if rt.Params == s.cfg.Params {
+		return true
+	}
 	// Params need the correlator lock. Bounded: one wedged shard may
 	// cost the reload paramApplyTimeout, never block neighbors forever
 	// (the hot non-param knobs above applied already). Re-check the
@@ -779,12 +941,23 @@ func (s *Shard) ApplyRuntime(rt config.Runtime) bool {
 	if s.lockCtx(ctx) {
 		if s.State() == Serving {
 			s.corr.SetParams(rt.Params)
+			s.cfg.Params = rt.Params
 		}
 		s.unlock()
 	} else {
 		s.log.Warn("reload: params not applied, correlator busy past deadline")
 	}
 	return true
+}
+
+// limitsFromRuntime maps the admission knobs onto a shard's limiter.
+func limitsFromRuntime(rt config.Runtime) admit.Limits {
+	return admit.Limits{
+		MaxInFlight: rt.Admit.PlanMaxInFlight,
+		MaxQueuePct: rt.Admit.MaxQueuePct,
+		MaxLatency:  time.Duration(rt.Admit.MaxLatencyMS) * time.Millisecond,
+		RetryAfter:  time.Duration(rt.Admit.RetryAfterSec) * time.Second,
+	}
 }
 
 // paramApplyTimeout bounds how long a reload waits on one shard's
@@ -953,17 +1126,3 @@ func syncDir(dir string) {
 	df.Sync()
 	df.Close()
 }
-
-// firstLine truncates s at its first newline (panic errors carry full
-// stack traces).
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
-}
-
-// unused guard so simfs stays imported if renderHoard changes shape.
-var _ = simfs.FileID(0)

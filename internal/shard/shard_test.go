@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/core"
+	"github.com/fmg/seer/internal/fault"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/supervise"
 )
@@ -357,5 +360,108 @@ func TestStateStrings(t *testing.T) {
 	}
 	if !strings.Contains(State(42).String(), "42") {
 		t.Error("unknown state should render its number")
+	}
+}
+
+// A shard whose disk fails keeps serving but turns degraded, naming its
+// checkpoint probe; healing the disk restores it, and every neighbour
+// stays healthy throughout — the bulkhead contract for a broken disk.
+func TestCheckpointFailureDegradesOnlyItsShard(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mgr := NewManager(ctx, ManagerConfig{
+		Shards:          3,
+		Dir:             t.TempDir(),
+		Runtime:         config.DefaultRuntime(),
+		Seed:            1,
+		Supervisor:      fastSupervisor(),
+		CheckpointEvery: 5 * time.Millisecond,
+	})
+	defer mgr.Close()
+	const victim = 1
+	var sink fault.Sink
+	mgr.Shard(victim).SetSaveWrapper(sink.Do)
+
+	// checkNeighbours fails the test if any other slot left healthy.
+	checkNeighbours := func() {
+		t.Helper()
+		for i, info := range mgr.Report() {
+			if i != victim && info.Health != "healthy" {
+				t.Fatalf("neighbour shard %d is %s: %v", i, info.Health, info.Problems)
+			}
+		}
+	}
+	checkNeighbours()
+
+	sink.Break()
+	waitFor(t, "victim degraded", func() bool {
+		checkNeighbours()
+		return mgr.Health() == supervise.Degraded
+	})
+	info := mgr.Report()[victim]
+	if info.Health != "degraded" || len(info.Problems) == 0 ||
+		!strings.HasPrefix(info.Problems[0], "checkpoint: consecutive_failures=") {
+		t.Fatalf("victim report = %s %q, want degraded naming its checkpoint probe",
+			info.Health, info.Problems)
+	}
+
+	sink.Heal()
+	waitFor(t, "victim healthy again", func() bool {
+		checkNeighbours()
+		return mgr.Health() == supervise.Healthy
+	})
+	if p := mgr.Report()[victim].Problems; len(p) != 0 {
+		t.Fatalf("healed victim still reports %q", p)
+	}
+}
+
+// A fresh /hoard refreshes the paper-§5 gauges as per-shard series.
+func TestHoardRefreshesShardGauges(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mgr := NewManager(ctx, ManagerConfig{
+		Shards:     1,
+		Runtime:    config.DefaultRuntime(),
+		Seed:       1,
+		Metrics:    reg,
+		Supervisor: fastSupervisor(),
+	})
+	defer mgr.Close()
+	ts := httptest.NewServer(NewGateway(mgr, Policy{}).Handler())
+	defer ts.Close()
+
+	ingest(t, mgr.Shard(0), testLines(0, 20))
+	resp, err := http.Get(ts.URL + "/hoard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/hoard: HTTP %d", resp.StatusCode)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := obs.ParseProm(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`seer_hoard_missfree_bytes{shard="0"}`,
+		`seer_hoard_unhoardable_files{shard="0"}`,
+		`seer_hoard_files{shard="0"}`,
+		`seer_hoard_bytes{shard="0"}`,
+		`seer_queue_depth{shard="0"}`,
+		`seer_queue_capacity{shard="0"}`,
+		`seer_queue_shed_total{shard="0"}`,
+	} {
+		if _, ok := vals[series]; !ok {
+			t.Errorf("%s missing after /hoard:\n%s", series, buf.String())
+		}
+	}
+	if got := vals[`seer_hoard_files{shard="0"}`]; got == 0 {
+		t.Errorf(`seer_hoard_files{shard="0"} = 0 after a fresh hoard of 20 files`)
 	}
 }

@@ -3,6 +3,7 @@ package supervise
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -28,6 +29,15 @@ type Report struct {
 	State  string        `json:"state"`
 	Stages []StageStatus `json:"stages"`
 	Probes []ProbeStatus `json:"probes,omitempty"`
+}
+
+// FirstLine truncates s at its first newline (panic errors carry full
+// stack traces; logs and health documents want one line).
+func FirstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }
 
 // healthOf maps one stage's state to its health contribution.
@@ -80,16 +90,9 @@ func (s *Supervisor) report(full bool) reported {
 				Since:    st.since,
 			}
 			if st.lastErr != nil {
-				msg := st.lastErr.Error()
 				// Panic errors carry a full stack; one line is enough for
 				// a health document.
-				for i := 0; i < len(msg); i++ {
-					if msg[i] == '\n' {
-						msg = msg[:i]
-						break
-					}
-				}
-				ss.LastErr = msg
+				ss.LastErr = FirstLine(st.lastErr.Error())
 			}
 			stages = append(stages, ss)
 		}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Load smoke test: run the closed-loop capacity harness (seerload)
-# against a real seerd twice — single-tenant with the replication
-# master enabled, then a 4-shard gateway — with a short ramp each, and
+# against a real seerd twice — one slot with the replication master
+# enabled, then a 4-shard gateway — with a short ramp each, and
 # prove the whole capacity pipeline end to end: overload-free steps,
 # a USL fit, BENCH_load.json emission through benchcmp, and the -check
 # path against the just-recorded baseline. Budgeted to finish well
@@ -28,7 +28,9 @@ START_RPS=${START_RPS:-40}
 STEP_RPS=${STEP_RPS:-40}
 WORK=$(mktemp -d)
 PID=""
-trap 'kill $PID 2>/dev/null || true; rm -rf "$WORK"' EXIT INT TERM
+# Wait for seerd to exit before removing its shard dir: a SIGTERM drains
+# every shard to a final checkpoint first.
+trap 'kill $PID 2>/dev/null && wait $PID 2>/dev/null; rm -rf "$WORK"' EXIT INT TERM
 
 BASE="$WORK/BENCH_load.json"
 
@@ -45,8 +47,8 @@ wait_up() {
     done
 }
 
-# --- Phase 1: plain seerd + rumor master -------------------------------
-# A strace fixture gives the single-tenant daemon a reference history so
+# --- Phase 1: one-slot seerd + rumor master ----------------------------
+# A strace fixture gives the one-slot daemon a reference history so
 # /plan and /miss exercise real clustering work.
 i=0
 while [ $i -lt 200 ]; do
@@ -60,7 +62,7 @@ done
 PID=$!
 wait_up "$ADDR" "$WORK/seerd.log"
 
-echo "== plain seerd ramp (with rumor sync ops) =="
+echo "== one-slot seerd ramp (with rumor sync ops) =="
 "$LOADBIN" -target "http://$ADDR" -rumor "http://$ADDR/rumor" \
     -clients "$CLIENTS" -seed 1 -start-rps "$START_RPS" -step-rps "$STEP_RPS" \
     -steps "$STEPS" -step-dur "$STEP_DUR" -sync-files 32 \
@@ -79,7 +81,7 @@ done
 # The -check path against the baseline we just recorded: a generous
 # tolerance absorbs run-to-run noise; what's being proven is that the
 # compare path loads the baseline and passes on a healthy re-run.
-echo "== plain seerd re-check =="
+echo "== one-slot seerd re-check =="
 "$LOADBIN" -target "http://$ADDR" -rumor "http://$ADDR/rumor" \
     -clients "$CLIENTS" -seed 2 -start-rps "$START_RPS" -step-rps "$STEP_RPS" \
     -steps "$STEPS" -step-dur "$STEP_DUR" -sync-files 32 \

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Metrics smoke test: start a real seerd against a small strace sample,
-# curl /metrics, and check the core series are exposed. This is the
+# Metrics smoke test: start a real one-slot seerd against a small
+# strace sample, curl /metrics, and check the core series are exposed. This is the
 # black-box counterpart of TestTraceFollowsBatchToPlan — it proves the
 # built binary, not just the test harness, serves the exposition.
 set -eu
@@ -55,10 +55,14 @@ for series in \
     fi
 done
 
-# The expvar compat view must survive the registry migration (it lives
-# on the debug listener, like pprof).
-if ! curl -fsS "http://$DEBUG_ADDR/debug/vars" | grep -q '"seer.plans_built"'; then
-    echo "MISSING expvar compat view (seer.plans_built)" >&2
+# The debug listener serves the same health document and the /shards
+# view.
+if ! curl -fsS "http://$DEBUG_ADDR/healthz" | grep -q '"name": "shards"'; then
+    echo "MISSING shards probe on the debug /healthz" >&2
+    status=1
+fi
+if ! curl -fsS "http://$DEBUG_ADDR/shards" | grep -q '"shards"'; then
+    echo "MISSING /shards on the debug listener" >&2
     status=1
 fi
 

@@ -18,7 +18,9 @@ RUMOR_ADDR=${RUMOR_ADDR:-127.0.0.1:7398}
 WORK=$(mktemp -d)
 PID=""
 RPID=""
-trap 'kill $PID $RPID 2>/dev/null || true; rm -rf "$WORK"' EXIT INT TERM
+# Wait for the daemons to exit before removing their files: a SIGTERM
+# drains every shard to a final checkpoint first.
+trap 'kill $PID $RPID 2>/dev/null && wait $PID $RPID 2>/dev/null; rm -rf "$WORK"' EXIT INT TERM
 
 wait_up() {
     i=0
