@@ -17,7 +17,7 @@ BENCH_TIME ?= 5x
 BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkFeedEvent$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$
 BENCH_SIM = BenchmarkFigure3$$|BenchmarkTable3$$|BenchmarkWorkloadGenerate$$|BenchmarkSemanticDistance$$
 
-.PHONY: check vet build test test-race fuzz fuzz-strace chaos shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint bench bench-check load-smoke load-bench
+.PHONY: check vet build test test-race fuzz fuzz-strace chaos flake-check shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint bench bench-check load-smoke load-bench
 
 check: vet build test-race
 
@@ -56,6 +56,12 @@ chaos: vet
 		-run 'TestChaosPipeline|TestBootstrapStopsWhenFeederFails|TestFollowFailureMatrix|TestAdmissionChaosShedAndRecover|TestReloadRaceUnderLoad|TestSLOBreachDegradesHealthAndCapturesFlight' \
 		./cmd/seerd/
 	$(GO) test -race -count=$(CHAOS_COUNT) ./internal/supervise/ ./internal/fault/
+
+# Flake gate: repeat timing-sensitive tests many times, at one and four
+# CPUs, under the race detector, so a test that passes once by luck
+# fails here. It starts with the config watcher's tests.
+flake-check:
+	$(GO) test -race -count=20 -cpu=1,4 -run TestWatcher ./internal/supervise/
 
 # Metrics smoke: run a built seerd against a sample strace file and
 # verify /metrics exposes the core series, the debug listener serves

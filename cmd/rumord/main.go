@@ -12,128 +12,48 @@
 //
 //	rum := replic.NewRemoteRumor("http://master:7078/rumor", nil)
 //
-// A seerd started with -rumor serves the same endpoints on its own
-// mux, so small deployments need only one daemon; rumord exists for
-// running the substrate on a different host (or behind different
-// provisioning) than the observer.
+// A seerd started with -rumor mounts the same master on its own mux,
+// so small deployments need only one daemon; rumord exists for running
+// the substrate on a different host (or behind different provisioning)
+// than the observer.
 //
-// Configuration shares seerd's declarative knob table: the same
-// -log-level/-log-format/-admit-* flags, and the same -config file
-// watched for live reloads (log shape and admission limits retune
-// without a restart; listen addresses are structural and reject the
-// reload). /rumor/ sits behind admission control — excess concurrency
-// is shed with 429 + Retry-After rather than queued — and /healthz
-// reports degraded while shedding is recent. /debug/config serves the
-// active settings and the last reload outcome; /metrics includes the
-// admitted/shed counters per endpoint. With -debug-addr, a second
-// listener serves pprof profiles alongside the same health, metrics,
-// and config endpoints, matching seerd.
+// rumord runs on seerd's process scaffold (internal/daemon): the same
+// knob table for -log-level/-log-format/-admit-* flags and the watched
+// -config file (log shape and admission limits retune live; listen
+// addresses are structural and reject the reload), supervised
+// listeners, and one health document at /healthz and /readyz, which
+// degrades while /rumor/ admission control is shedding (429 +
+// Retry-After). /metrics, /debug/traces, /debug/config and, with
+// -flight-dir, /debug/flight match seerd's; -debug-addr adds a pprof
+// listener.
 package main
 
 import (
-	"bytes"
 	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/fmg/seer/internal/config"
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/obs"
 )
-
-// logger is the process logger; main() applies -log-level/-log-format.
-var logger = obs.NewLogger(nil)
 
 func main() {
 	rt := config.DefaultRuntime()
 	rt.Daemon.Listen = ":7078" // rumord's historical default
-	config.RegisterFlags(flag.CommandLine, &rt, config.ForRumord)
-	cfgPath := flag.String("config", "",
-		"runtime config file: flag-style `key value` lines; watched for live reloads")
-	flag.Parse()
-
-	base := rt
-	var cfgData []byte
-	if *cfgPath != "" {
-		data, err := os.ReadFile(*cfgPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			logger.Warn("config file missing; starting from flags", "path", *cfgPath)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "rumord: %v\n", err)
-			os.Exit(2)
-		default:
-			if err := config.ApplyFile(&rt, bytes.NewReader(data)); err != nil {
-				fmt.Fprintf(os.Stderr, "rumord: %s: %v\n", *cfgPath, err)
-				os.Exit(2)
-			}
-			cfgData = data
-		}
-	}
-	if err := rt.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rumord: %v\n", err)
-		os.Exit(2)
-	}
-	lv, _ := obs.ParseLevel(rt.Daemon.LogLevel) // Validate vetted it
-	logger.SetLevel(lv)
-	logger.SetJSON(rt.Daemon.LogFormat == "json")
-
-	s := newServer(config.NewStore(rt), base, *cfgPath, cfgData)
-
-	newHTTP := func(addr string, h http.Handler) *http.Server {
-		return &http.Server{
-			Addr:              addr,
-			Handler:           h,
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      time.Minute,
-			IdleTimeout:       2 * time.Minute,
-		}
-	}
-	srv := newHTTP(rt.Daemon.Listen, s.mainMux())
-
+	opts := daemon.ParseFlags("rumord", obs.NewLogger(nil), rt, config.ForRumord)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go s.watch(ctx)
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			s.kickReload()
-		}
-	}()
+	newDaemon(opts).Serve(ctx)
+}
 
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("serving", "addr", rt.Daemon.Listen)
-
-	var dsrv *http.Server
-	if rt.Daemon.DebugAddr != "" {
-		dsrv = newHTTP(rt.Daemon.DebugAddr, s.debugMux())
-		go func() {
-			if derr := dsrv.ListenAndServe(); derr != nil && derr != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", rt.Daemon.DebugAddr, "err", derr)
-			}
-		}()
-		logger.Info("debug endpoints up", "addr", rt.Daemon.DebugAddr)
-	}
-
-	select {
-	case err := <-errc:
-		logger.Error("listener failed", "err", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	logger.Info("signal received, shutting down")
-	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	srv.Shutdown(shCtx)
-	if dsrv != nil {
-		dsrv.Shutdown(shCtx)
-	}
+// newDaemon builds rumord: the shared scaffold with the replication
+// master mounted on its main listener.
+func newDaemon(opts daemon.Options) *daemon.Daemon {
+	d := daemon.New(opts)
+	mux := d.Mux()
+	d.MountRumor(mux)
+	d.AddListeners(mux, d.DebugMux())
+	return d
 }

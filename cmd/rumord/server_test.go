@@ -1,23 +1,26 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/fmg/seer/internal/admit"
 	"github.com/fmg/seer/internal/config"
+	"github.com/fmg/seer/internal/daemon"
+	"github.com/fmg/seer/internal/supervise"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t *testing.T, what string, within time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
@@ -27,64 +30,87 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestServerAdmissionReloadAndDebugConfig drives the rumord core end to
-// end: /rumor/ sheds past the in-flight limit with 429 + Retry-After,
-// /healthz flips to degraded while shedding is recent and recovers, a
-// hot reload raises the limit without a restart, a structural reload is
-// rejected, and /debug/config serves (GET-only) the active settings
-// plus the last reload outcome.
+// TestServerAdmissionReloadAndDebugConfig drives rumord end to end on
+// the shared daemon scaffold: /rumor/ sheds past the in-flight limit
+// with 429 + Retry-After, the health document (stages http, debug and
+// confwatch) flips to degraded while the shed is recent and recovers
+// once the real shed window has passed, a hot reload raises the limit
+// with zero restarts, a structural reload is rejected, and
+// /debug/config serves (GET only) the active settings.
 func TestServerAdmissionReloadAndDebugConfig(t *testing.T) {
-	oldPoll, oldWindow := confPollEvery, admitShedWindow
-	confPollEvery, admitShedWindow = 2*time.Millisecond, 300*time.Millisecond
-	defer func() { confPollEvery, admitShedWindow = oldPoll, oldWindow }()
+	oldPoll := daemon.ConfigPoll
+	daemon.ConfigPoll = 2 * time.Millisecond
+	t.Cleanup(func() { daemon.ConfigPoll = oldPoll })
 
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "rumord.conf")
-
+	cfgPath := filepath.Join(t.TempDir(), "rumord.conf")
 	rt := config.DefaultRuntime()
-	rt.Daemon.Listen = ":0"
+	rt.Daemon.Listen = "127.0.0.1:0"
+	rt.Daemon.DebugAddr = "127.0.0.1:0"
 	rt.Admit.RumorMaxInFlight = 1
 	rt.Admit.RetryAfterSec = 2
-	base := rt
-	store := config.NewStore(rt)
-	s := newServer(store, base, cfgPath, nil)
+	d := newDaemon(daemon.Options{Runtime: rt, Base: rt, ConfigPath: cfgPath})
+	ctx, cancel := context.WithCancel(context.Background())
+	d.Sup.Start(ctx)
+	defer func() {
+		cancel()
+		d.Sup.Wait()
+	}()
+	waitFor(t, "listeners up", 5*time.Second, func() bool { return d.Addr() != "" && d.DebugAddr() != "" })
+	base := "http://" + d.Addr()
+	client := &http.Client{Timeout: 5 * time.Second}
+	defer client.CloseIdleConnections()
+	get := func(url string) (int, string) {
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	health := func() supervise.Report {
+		var rep supervise.Report
+		if _, body := get(base + "/healthz"); json.Unmarshal([]byte(body), &rep) != nil {
+			t.Fatalf("/healthz is not the supervisor report: %s", body)
+		}
+		return rep
+	}
 
-	ctx := t.Context()
-	go s.watch(ctx)
-
-	ts := httptest.NewServer(s.mainMux())
-	defer ts.Close()
-	client := ts.Client()
+	// --- One health document: the process stages, served on both
+	// listeners. ---
+	rep := health()
+	var stages []string
+	for _, st := range rep.Stages {
+		stages = append(stages, st.Name)
+	}
+	if got := strings.Join(stages, " "); got != "confwatch http debug" || rep.State != "healthy" {
+		t.Fatalf("health = %s with stages %q, want healthy with confwatch http debug", rep.State, got)
+	}
+	if code, _ := get("http://" + d.DebugAddr() + "/healthz"); code != http.StatusOK {
+		t.Fatalf("debug /healthz: %d", code)
+	}
 
 	// --- /debug/config: GET works, other methods get 405 + Allow. ---
-	resp, err := client.Get(ts.URL + "/debug/config")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dc struct {
 		Generation uint64      `json:"generation"`
 		Settings   []config.KV `json:"settings"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dc); err != nil {
-		t.Fatal(err)
+	if _, body := get(base + "/debug/config"); json.Unmarshal([]byte(body), &dc) != nil {
+		t.Fatalf("/debug/config: %s", body)
 	}
-	resp.Body.Close()
 	if dc.Generation != 1 {
 		t.Fatalf("startup generation = %d, want 1", dc.Generation)
 	}
 	found := false
 	for _, kv := range dc.Settings {
 		if kv.Key == "admit-rumor-inflight" {
-			found = true
-			if kv.Value != "1" {
-				t.Fatalf("admit-rumor-inflight = %q, want 1", kv.Value)
-			}
+			found = kv.Value == "1"
 		}
 	}
 	if !found {
-		t.Fatal("admit-rumor-inflight missing from /debug/config")
+		t.Fatal("admit-rumor-inflight 1 missing from /debug/config")
 	}
-	resp, err = client.Post(ts.URL+"/debug/config", "text/plain", nil)
+	resp, err := client.Post(base+"/debug/config", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +126,24 @@ func TestServerAdmissionReloadAndDebugConfig(t *testing.T) {
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/rumor/version", pr)
-		resp, err := client.Do(req)
-		if err == nil {
+		req, _ := http.NewRequest(http.MethodPost, base+"/rumor/version", pr)
+		if resp, err := client.Do(req); err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, "slow request admitted", func() bool { return s.rumorLim.InFlight() == 1 })
+	defer func() {
+		pw.Close()
+		<-slowDone
+	}()
+	waitFor(t, "slow request admitted", 5*time.Second, func() bool {
+		_, metrics := get(base + "/metrics")
+		return strings.Contains(metrics, `seer_admit_inflight{endpoint="rumor"} 1`)
+	})
 
 	// A second request is shed with 429 + the configured Retry-After.
-	resp, err = client.Post(ts.URL+"/rumor/version", "application/x-seer-rumor", strings.NewReader(""))
+	shedAt := time.Now()
+	resp, err = client.Post(base+"/rumor/version", "application/x-seer-rumor", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,21 +156,18 @@ func TestServerAdmissionReloadAndDebugConfig(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want 2", ra)
 	}
 
-	// /healthz reports degraded while the shed is recent.
-	health := func() string {
-		resp, err := client.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h struct {
-			Status string `json:"status"`
-		}
-		json.NewDecoder(resp.Body).Decode(&h)
-		return h.Status
+	// The health document degrades while the shed is recent, naming the
+	// limiter's probe.
+	rep = health()
+	if rep.State != "degraded" {
+		t.Fatalf("health after shed = %q, want degraded", rep.State)
 	}
-	if got := health(); got != "degraded" {
-		t.Fatalf("health after shed = %q, want degraded", got)
+	named := false
+	for _, p := range rep.Probes {
+		named = named || (p.Name == "rumor-admission" && p.State == "degraded")
+	}
+	if !named {
+		t.Fatalf("no degraded rumor-admission probe in %+v", rep.Probes)
 	}
 
 	// --- Hot reload: raise the limit; the blocked slot no longer starves
@@ -145,8 +175,8 @@ func TestServerAdmissionReloadAndDebugConfig(t *testing.T) {
 	if err := os.WriteFile(cfgPath, []byte("admit-rumor-inflight 8\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "reload applied", func() bool { return store.Generation() == 2 })
-	resp, err = client.Post(ts.URL+"/rumor/version", "application/x-seer-rumor", strings.NewReader(""))
+	waitFor(t, "reload applied", 5*time.Second, func() bool { return d.Store.Generation() == 2 })
+	resp, err = client.Post(base+"/rumor/version", "application/x-seer-rumor", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,24 +187,30 @@ func TestServerAdmissionReloadAndDebugConfig(t *testing.T) {
 	}
 
 	// --- A structural change (listen address) is rejected: generation
-	// stays, error is recorded for /debug/config. ---
+	// stays, the error is recorded for /debug/config. ---
 	if err := os.WriteFile(cfgPath, []byte("admit-rumor-inflight 8\nlisten :9999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "rejected reload recorded", func() bool {
-		st := store.LastReload()
+	waitFor(t, "rejected reload recorded", 5*time.Second, func() bool {
+		st := d.Store.LastReload()
 		return !st.OK && st.Err != ""
 	})
-	if store.Generation() != 2 {
-		t.Fatalf("generation = %d after rejected reload, want 2", store.Generation())
+	if d.Store.Generation() != 2 {
+		t.Fatalf("generation = %d after rejected reload, want 2", d.Store.Generation())
 	}
-	if st := store.LastReload(); !strings.Contains(st.Err, "listen") {
+	if st := d.Store.LastReload(); !strings.Contains(st.Err, "listen") {
 		t.Fatalf("rejection error %q does not name the structural knob", st.Err)
 	}
 
-	// --- Recovery: once the shed window passes, health returns. ---
-	waitFor(t, "health recovery", func() bool { return health() == "healthy" })
-
-	pw.Close()
-	<-slowDone
+	// --- Recovery: once the real shed window has passed, health returns
+	// on its own. ---
+	waitFor(t, "health recovery", admit.ShedWindow+10*time.Second, func() bool {
+		return health().State == "healthy"
+	})
+	if since := time.Since(shedAt); since < admit.ShedWindow {
+		t.Fatalf("healthy %v after the shed, inside the %v window", since, admit.ShedWindow)
+	}
+	if n := d.Sup.Restarts(); n != 0 {
+		t.Fatalf("stage restarts = %d, want 0", n)
+	}
 }

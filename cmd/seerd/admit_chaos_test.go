@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/trace"
 )
 
@@ -21,11 +22,11 @@ import (
 // recent, and a hot config reload raising the in-flight limit restores
 // 200s with zero restarts — all under -race.
 func TestAdmissionChaosShedAndRecover(t *testing.T) {
-	oldPoll := confPollEvery
-	confPollEvery = time.Millisecond
+	oldPoll := daemon.ConfigPoll
+	daemon.ConfigPoll = time.Millisecond
 	// Cleanup, not defer: registered before startTestPipeline's cleanup,
 	// so the global is restored only after the pipeline has stopped.
-	t.Cleanup(func() { confPollEvery = oldPoll })
+	t.Cleanup(func() { daemon.ConfigPoll = oldPoll })
 
 	dir := t.TempDir()
 	strace := filepath.Join(dir, "seer.strace")
@@ -38,15 +39,15 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 
 	rt := testRuntime(strace)
 	rt.Daemon.GatewayTimeoutMS = 300
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt, cfgPath: cfgFile}, nil)
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt, ConfigPath: cfgFile}}, nil)
 	s0 := p.mgr.Shard(0)
 	lim := s0.Limiter()
-	base := "http://" + p.addr()
+	base := "http://" + p.Addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
-	waitFor(t, "startup config applied", func() bool { return p.store.Generation() == 2 })
-	if got := p.store.Get().Admit.PlanMaxInFlight; got != 2 {
+	waitFor(t, "startup config applied", func() bool { return p.Store.Generation() == 2 })
+	if got := p.Store.Get().Admit.PlanMaxInFlight; got != 2 {
 		t.Fatalf("PlanMaxInFlight = %d after startup reload, want 2", got)
 	}
 
@@ -158,7 +159,7 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "limit-raising reload applied under wedge", func() bool {
-		return p.store.Generation() == 3
+		return p.Store.Generation() == 3
 	})
 
 	// Clear the overload; the same burst now fully succeeds, fresh.
@@ -185,7 +186,7 @@ func TestAdmissionChaosShedAndRecover(t *testing.T) {
 	// Once the shard's 15 s shed window passes, health recovers — zero
 	// restarts.
 	waitHealthWithin(t, client, base, "healthy", 30*time.Second)
-	if got := p.sup.Restarts() + s0.Restarts(); got != 0 {
+	if got := p.Sup.Restarts() + s0.Restarts(); got != 0 {
 		t.Errorf("stage restarts = %d, want 0: recovery must come from reload, not restart", got)
 	}
 }

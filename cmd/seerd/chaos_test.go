@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/fault"
 	"github.com/fmg/seer/internal/shard"
 	"github.com/fmg/seer/internal/supervise"
@@ -137,14 +138,13 @@ func TestChaosPipeline(t *testing.T) {
 	// falls back to the last-good plan.
 	rt.Daemon.GatewayTimeoutMS = 300
 	p, stop := startTestPipeline(t, pipelineConfig{
-		rt:              rt,
-		checkpointEvery: 20 * time.Millisecond,
-		supervisor: supervise.Config{
+		Options: daemon.Options{Runtime: rt, Supervisor: supervise.Config{
 			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
 			BreakAfter: 6,
 			Window:     time.Minute,
 			ResetAfter: 50 * time.Millisecond,
-		},
+		}},
+		checkpointEvery: 20 * time.Millisecond,
 	}, func(p *pipeline) {
 		p.wrapTail = func(r io.Reader) io.Reader {
 			sr := fault.NewStallReader(&fault.PanicReader{R: r, After: tailPanic})
@@ -159,9 +159,9 @@ func TestChaosPipeline(t *testing.T) {
 	s0 := p.mgr.Shard(0)
 	// restarts counts induced restarts across the process tree and the
 	// slot's own tree.
-	restarts := func() uint64 { return p.sup.Restarts() + s0.Restarts() }
+	restarts := func() uint64 { return p.Sup.Restarts() + s0.Restarts() }
 
-	base := "http://" + p.addr()
+	base := "http://" + p.Addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
@@ -341,7 +341,7 @@ func TestChaosPipeline(t *testing.T) {
 			restartSum += v
 		}
 	}
-	if want := float64(p.sup.Restarts()); restartSum != want {
+	if want := float64(p.Sup.Restarts()); restartSum != want {
 		t.Errorf("sum of seer_stage_restarts_total = %v, supervisor says %v", restartSum, want)
 	}
 	if got, want := vals[`seer_shard_restarts_total{shard="0"}`], float64(s0.Restarts()); got != want {
@@ -382,7 +382,7 @@ func TestBootstrapStopsWhenFeederFails(t *testing.T) {
 	rt := testRuntime(path)
 	rt.Daemon.Listen = ""
 	rt.Daemon.QueueCap = 16
-	p := newPipeline(pipelineConfig{rt: rt, base: rt, supervisor: testSupervisorConfig()})
+	p := newPipeline(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt, Supervisor: testSupervisorConfig()}})
 	defer p.close()
 	s0 := p.mgr.Shard(0)
 	feedPanic := fault.NewPanicAfter(5)

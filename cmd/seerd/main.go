@@ -51,74 +51,34 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/fmg/seer/internal/config"
-	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/daemon"
 )
 
 func main() {
 	// Every tunable is one knob in internal/config's declarative table;
-	// RegisterFlags turns the seerd subset into flags, and the same names
+	// ParseFlags turns the seerd subset into flags, and the same names
 	// work as `key value` lines in the -config file.
-	rt := config.DefaultRuntime()
-	config.RegisterFlags(flag.CommandLine, &rt, config.ForSeerd)
-	cfgPath := flag.String("config", "",
-		"runtime config file: flag-style `key value` lines plus `param Name Value`; "+
-			"watched for live reloads while serving")
-	flag.Parse()
-
-	// base is what the flags alone produced: reloads re-parse the file
-	// over it, so removing a file line reverts that setting to its flag
-	// (or default) value.
-	base := rt
-	var cfgData []byte
-	if *cfgPath != "" {
-		data, err := os.ReadFile(*cfgPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			logger.Warn("config file missing; starting from flags",
-				"path", *cfgPath)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "seerd: %v\n", err)
-			os.Exit(2)
-		default:
-			if err := config.ApplyFile(&rt, bytes.NewReader(data)); err != nil {
-				fmt.Fprintf(os.Stderr, "seerd: %s: %v\n", *cfgPath, err)
-				os.Exit(2)
-			}
-			cfgData = data
-		}
-	}
-	if err := rt.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "seerd: %v\n", err)
-		os.Exit(2)
-	}
-
-	lv, _ := obs.ParseLevel(rt.Daemon.LogLevel) // Validate vetted it
-	logger.SetLevel(lv)
-	logger.SetJSON(rt.Daemon.LogFormat == "json")
-
-	os.Exit(run(pipelineConfig{rt: rt, base: base, cfgPath: *cfgPath, cfgData: cfgData}))
+	opts := daemon.ParseFlags("seerd", logger, config.DefaultRuntime(), config.ForSeerd)
+	os.Exit(run(pipelineConfig{Options: opts}, os.Stdout))
 }
 
 // run opens the shards, bootstraps a single slot from the strace input,
-// then either prints its hoard once (no -listen) or serves until a
-// signal. Every path ends in Manager.Close, whose drains write each
+// then either prints its hoard once to stdout (no -listen) or serves
+// until a signal. Every path ends in Manager.Close, whose drains write each
 // shard's final checkpoint; a failed one makes the exit status 1, so a
 // supervisor or script can tell that learned state was lost. It returns
 // the exit status.
-func run(cfg pipelineConfig) int {
-	d := cfg.rt.Daemon
+func run(cfg pipelineConfig, stdout io.Writer) int {
+	d := cfg.Runtime.Daemon
 	if d.Listen == "" && d.Shards > 1 {
 		fmt.Fprintln(os.Stderr, "seerd: -shards above 1 requires -listen (events arrive through POST /events)")
 		return 2
@@ -131,7 +91,7 @@ func run(cfg pipelineConfig) int {
 	}
 	// Only a single slot reads the strace input; with more, events
 	// arrive per user over HTTP and stdin is never touched.
-	var in io.Reader
+	var in *os.File
 	if d.Shards == 1 {
 		in = os.Stdin
 		if d.Strace != "-" {
@@ -151,7 +111,7 @@ func run(cfg pipelineConfig) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	p := newPipeline(cfg)
-	code := serve(ctx, p, in)
+	code := serve(ctx, p, in, stdout)
 	if err := p.close(); err != nil {
 		logger.Error("final checkpoint failed", "err", err)
 		return 1
@@ -160,10 +120,10 @@ func run(cfg pipelineConfig) int {
 }
 
 // serve is run between opening the shards and closing them: bootstrap
-// from in (nil with more than one shard), then print the hoard once or
-// serve until ctx ends. It returns the exit status.
-func serve(ctx context.Context, p *pipeline, in io.Reader) int {
-	d := p.store.Get().Daemon
+// from in (nil with more than one shard), then print the hoard once to
+// stdout or serve until ctx ends. It returns the exit status.
+func serve(ctx context.Context, p *pipeline, in *os.File, stdout io.Writer) int {
+	d := p.Store.Get().Daemon
 	if in != nil {
 		// A signal during a large read stops it promptly; whatever was
 		// learned up to that point is still checkpointed by the drain.
@@ -187,33 +147,9 @@ func serve(ctx context.Context, p *pipeline, in io.Reader) int {
 			logger.Error("hoard unavailable", "err", err)
 			return 1
 		}
-		os.Stdout.Write(body)
+		stdout.Write(body)
 		return 0
 	}
-
-	// SIGHUP forces an immediate config-file check, the conventional
-	// "reload now" signal alongside the steady poll.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			p.kickReload()
-		}
-	}()
-	p.start(ctx)
-	// Wait for the listener to bind so the startup line reports the
-	// resolved address (":0" becomes a concrete port).
-	for i := 0; i < 100 && p.addr() == ""; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	logger.Info("serving", "shards", d.Shards, "events", p.mgr.Shard(0).Events(),
-		"addr", p.addr(), "shard_dir", d.ShardDir)
-	if d.DebugAddr != "" {
-		logger.Info("debug endpoints up", "addr", p.debugAddr())
-	}
-
-	<-ctx.Done()
-	logger.Info("signal received, shutting down")
-	p.wait()
+	p.Serve(ctx, "shards", d.Shards, "events", p.mgr.Shard(0).Events(), "shard_dir", d.ShardDir)
 	return 0
 }

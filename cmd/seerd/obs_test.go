@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/obs"
 )
 
@@ -79,10 +80,10 @@ func TestTraceFollowsBatchToPlan(t *testing.T) {
 	rt := testRuntime(path)
 	rt.Daemon.Follow = true
 	rt.Daemon.Rumor = true
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}}, nil)
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
-	base := "http://" + p.addr()
+	base := "http://" + p.Addr()
 
 	// One ingestion batch: the tailer reads these lines in one burst and
 	// closes the batch's root span at the next EOF pause.

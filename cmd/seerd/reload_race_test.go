@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/fmg/seer/internal/daemon"
 )
 
 // TestReloadRaceUnderLoad hammers /plan and /hoard while a writer loop
@@ -19,11 +21,11 @@ import (
 // rejected reloads are both counted, ingestion drops nothing, and no
 // stage restarts.
 func TestReloadRaceUnderLoad(t *testing.T) {
-	oldPoll, oldFollow := confPollEvery, followPoll
-	confPollEvery, followPoll = time.Millisecond, 5*time.Millisecond
+	oldPoll, oldFollow := daemon.ConfigPoll, followPoll
+	daemon.ConfigPoll, followPoll = time.Millisecond, 5*time.Millisecond
 	// Cleanup, not defer: registered before startTestPipeline's cleanup,
 	// so the globals are restored only after the pipeline has stopped.
-	t.Cleanup(func() { confPollEvery, followPoll = oldPoll, oldFollow })
+	t.Cleanup(func() { daemon.ConfigPoll, followPoll = oldPoll, oldFollow })
 
 	dir := t.TempDir()
 	strace := filepath.Join(dir, "seer.strace")
@@ -38,13 +40,13 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 	// plausible hammer stall, so a drop can only come from a resize.
 	rt.Daemon.QueueBlockMS = 2000
 	rt.Daemon.GatewayTimeoutMS = 5000
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt, cfgPath: cfgFile}, nil)
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt, ConfigPath: cfgFile}}, nil)
 	s0 := p.mgr.Shard(0)
 	queueCap := func() int {
 		_, c, _ := s0.QueueStats()
 		return c
 	}
-	base := "http://" + p.addr()
+	base := "http://" + p.Addr()
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
@@ -85,7 +87,7 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			rt := p.store.Get()
+			rt := p.Store.Get()
 			if err := rt.Validate(); err != nil {
 				t.Errorf("active config invalid: %v", err)
 				return
@@ -138,19 +140,20 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "final config applied", func() bool {
-		rt := p.store.Get()
+		rt := p.Store.Get()
 		return rt.Daemon.QueueCap == 256 && rt.Params.KNear == 5 &&
-			p.store.LastReload().OK
+			p.Store.LastReload().OK
 	})
 
 	stop.Store(true)
 	wg.Wait()
 
-	if applied := p.mReloadApplied.Value(); applied < 10 {
-		t.Errorf("only %d reloads applied; the loop should apply dozens", applied)
+	reloads := scrapeMetrics(t, client, base)
+	if applied := reloads[`seer_config_reloads_total{result="applied"}`]; applied < 10 {
+		t.Errorf("only %v reloads applied; the loop should apply dozens", applied)
 	}
-	if rejected := p.mReloadRejected.Value(); rejected < 10 {
-		t.Errorf("only %d reloads rejected; the loop should reject dozens", rejected)
+	if rejected := reloads[`seer_config_reloads_total{result="rejected"}`]; rejected < 10 {
+		t.Errorf("only %v reloads rejected; the loop should reject dozens", rejected)
 	}
 	if hammered.Load() == 0 {
 		t.Error("request hammer never completed a request")
@@ -179,7 +182,7 @@ func TestReloadRaceUnderLoad(t *testing.T) {
 		t.Errorf("fed %d events, want %d", got, seeded+eventLines)
 	}
 	// Rejected reloads are handled data, not failures: nothing restarted.
-	if got := p.sup.Restarts() + s0.Restarts(); got != 0 {
+	if got := p.Sup.Restarts() + s0.Restarts(); got != 0 {
 		t.Errorf("stage restarts = %d, want 0", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/replic"
 )
 
@@ -23,9 +24,9 @@ func TestPipelineServesRumorEndpoints(t *testing.T) {
 	rt := testRuntime(path)
 	rt.Daemon.Follow = true
 	rt.Daemon.Rumor = true
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}}, nil)
 
-	rr := replic.NewRemoteRumor("http://"+p.addr()+"/rumor", nil)
+	rr := replic.NewRemoteRumor("http://"+p.Addr()+"/rumor", nil)
 	if p.master.Create(7) != 1 {
 		t.Fatal("master create")
 	}
@@ -47,7 +48,7 @@ func TestPipelineServesRumorEndpoints(t *testing.T) {
 	}
 
 	// The hoarding endpoints still answer alongside /rumor/.
-	resp, err := http.Get("http://" + p.addr() + "/healthz")
+	resp, err := http.Get("http://" + p.Addr() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func TestPipelineRumorDisabledByDefault(t *testing.T) {
 
 	rt := testRuntime(path)
 	rt.Daemon.Follow = true
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
-	resp, err := http.Post("http://"+p.addr()+"/rumor/version", "application/x-seer-rumor", nil)
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}}, nil)
+	resp, err := http.Post("http://"+p.Addr()+"/rumor/version", "application/x-seer-rumor", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

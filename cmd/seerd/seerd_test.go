@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,6 +17,7 @@ import (
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/core"
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/strace"
 	"github.com/fmg/seer/internal/supervise"
 )
@@ -45,18 +48,18 @@ func testRuntime(path string) config.Runtime {
 // checkpoint.
 func startTestPipeline(t *testing.T, cfg pipelineConfig, prep func(*pipeline)) (*pipeline, func()) {
 	t.Helper()
-	if cfg.base == (config.Runtime{}) {
-		cfg.base = cfg.rt
+	if cfg.Base == (config.Runtime{}) {
+		cfg.Base = cfg.Runtime
 	}
-	if cfg.supervisor.Window == 0 {
-		cfg.supervisor = testSupervisorConfig()
+	if cfg.Supervisor.Window == 0 {
+		cfg.Supervisor = testSupervisorConfig()
 	}
 	p := newPipeline(cfg)
 	if prep != nil {
 		prep(p)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if d := cfg.rt.Daemon; d.Shards == 1 && d.Strace != "-" {
+	if d := cfg.Runtime.Daemon; d.Shards == 1 && d.Strace != "-" {
 		f, err := os.Open(d.Strace)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +70,7 @@ func startTestPipeline(t *testing.T, cfg pipelineConfig, prep func(*pipeline)) (
 			t.Fatalf("bootstrap: %v", err)
 		}
 	}
-	p.start(ctx)
+	p.Sup.Start(ctx)
 	stopped := false
 	stop := func() {
 		if stopped {
@@ -77,7 +80,7 @@ func startTestPipeline(t *testing.T, cfg pipelineConfig, prep func(*pipeline)) (
 		cancel()
 		done := make(chan struct{})
 		go func() {
-			p.wait()
+			p.Sup.Wait()
 			p.close()
 			close(done)
 		}()
@@ -90,10 +93,10 @@ func startTestPipeline(t *testing.T, cfg pipelineConfig, prep func(*pipeline)) (
 	t.Cleanup(stop)
 	// Wait for the listener so tests can hit HTTP endpoints.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.addr() == "" && time.Now().Before(deadline) {
+	for p.Addr() == "" && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if p.addr() == "" {
+	if p.Addr() == "" {
 		t.Fatal("pipeline listener never came up")
 	}
 	return p, stop
@@ -173,7 +176,7 @@ func TestFeedLinesSkipsOversizedTail(t *testing.T) {
 // checkpoint). It returns the slot's event count before the close.
 func oneShot(t *testing.T, rt config.Runtime) uint64 {
 	t.Helper()
-	p := newPipeline(pipelineConfig{rt: rt, base: rt})
+	p := newPipeline(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt}})
 	defer p.close()
 	f, err := os.Open(rt.Daemon.Strace)
 	if err != nil {
@@ -189,7 +192,7 @@ func oneShot(t *testing.T, rt config.Runtime) uint64 {
 // restoredEvents opens the shards over rt's shard-dir and reports how
 // many events slot 0 restored.
 func restoredEvents(rt config.Runtime) uint64 {
-	p := newPipeline(pipelineConfig{rt: rt, base: rt})
+	p := newPipeline(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt}})
 	defer p.close()
 	return events(p)
 }
@@ -282,14 +285,41 @@ func TestRunExitStatusReportsFinalCheckpoint(t *testing.T) {
 	if err := os.MkdirAll(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if code := run(pipelineConfig{rt: rt, base: rt}); code != 1 {
+	if code := run(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt}}, io.Discard); code != 1 {
 		t.Errorf("run = %d with a failing final checkpoint, want 1", code)
 	}
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	if code := run(pipelineConfig{rt: rt, base: rt}); code != 0 {
+	if code := run(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt}}, io.Discard); code != 0 {
 		t.Errorf("run = %d with a writable shard-dir, want 0", code)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// One-shot mode prints the hoard in plan order, so the same trace
+// prints the same bytes on every run. A change to the hoard listing
+// shows here; rerun with -update to accept it.
+func TestOneShotHoardGolden(t *testing.T) {
+	rt := testRuntime(filepath.Join("..", "..", "internal", "strace", "testdata", "golden.strace"))
+	rt.Daemon.Listen = ""
+	var out bytes.Buffer
+	if code := run(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt}}, &out); code != 0 {
+		t.Fatalf("one-shot run = %d", code)
+	}
+	golden := filepath.Join("testdata", "oneshot_hoard.golden")
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("one-shot hoard differs from %s:\n got:\n%s\nwant:\n%s", golden, out.Bytes(), want)
 	}
 }
 
@@ -302,7 +332,7 @@ func TestBootstrapPlanMatchesStandaloneCorrelator(t *testing.T) {
 	const golden = "../../internal/strace/testdata/golden.strace"
 	rt := testRuntime(golden)
 	rt.Daemon.QueueCap = 4
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}}, nil)
 
 	data, err := os.ReadFile(golden)
 	if err != nil {
@@ -336,7 +366,7 @@ func TestBootstrapPlanMatchesStandaloneCorrelator(t *testing.T) {
 	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
-	code, _, got := httpGet(t, client, "http://"+p.addr()+"/plan")
+	code, _, got := httpGet(t, client, "http://"+p.Addr()+"/plan")
 	if code != http.StatusOK || got != want.String() {
 		t.Fatalf("/plan: HTTP %d\n--- got\n%s--- want\n%s", code, got, want.String())
 	}
@@ -349,13 +379,13 @@ func TestHealthzServesOneDocument(t *testing.T) {
 	rt := testRuntime("-")
 	rt.Daemon.Shards = 2
 	rt.Daemon.DebugAddr = "127.0.0.1:0"
-	p, _ := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
-	waitFor(t, "debug listener", func() bool { return p.debugAddr() != "" })
+	p, _ := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}}, nil)
+	waitFor(t, "debug listener", func() bool { return p.DebugAddr() != "" })
 	client := &http.Client{Timeout: 10 * time.Second}
 	defer client.CloseIdleConnections()
 
 	var docs []string
-	for _, base := range []string{"http://" + p.addr(), "http://" + p.debugAddr()} {
+	for _, base := range []string{"http://" + p.Addr(), "http://" + p.DebugAddr()} {
 		code, rep := healthReport(t, client, base)
 		if code != http.StatusOK || rep.State != "healthy" {
 			t.Fatalf("%s/healthz: HTTP %d state %q", base, code, rep.State)
@@ -373,7 +403,7 @@ func TestHealthzServesOneDocument(t *testing.T) {
 		t.Fatalf("listeners serve different health documents: %v", docs)
 	}
 
-	code, _, body := httpGet(t, client, "http://"+p.debugAddr()+"/shards")
+	code, _, body := httpGet(t, client, "http://"+p.DebugAddr()+"/shards")
 	var view struct {
 		Shards []struct {
 			Shard int `json:"shard"`
@@ -406,7 +436,7 @@ func TestFollowPipelineSurvivesTruncationAndRotation(t *testing.T) {
 
 	rt := testRuntime(path)
 	rt.Daemon.Follow = true
-	p, stop := startTestPipeline(t, pipelineConfig{rt: rt}, nil)
+	p, stop := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}}, nil)
 
 	// Appended lines are consumed.
 	time.Sleep(30 * time.Millisecond) // let the tailer seek to the end

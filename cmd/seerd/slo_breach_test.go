@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/config"
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/simfs"
 	"github.com/fmg/seer/internal/supervise"
 )
@@ -28,12 +29,12 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 	rt.Daemon.RumorURL = "http://127.0.0.1:1/rumor"
 	rt.Daemon.FlightDir = filepath.Join(dir, "flight")
 
-	sp := newPipeline(pipelineConfig{rt: rt, base: rt})
+	sp := newPipeline(pipelineConfig{Options: daemon.Options{Runtime: rt, Base: rt}})
 	defer sp.close()
-	if sp.flight == nil {
+	if sp.Flight == nil {
 		t.Fatal("flight recorder not built despite -flight-dir")
 	}
-	sp.flight.CPUProfile = 50 * time.Millisecond // keep the capture fast
+	sp.Flight.CPUProfile = 50 * time.Millisecond // keep the capture fast
 
 	// Baseline sample, then burn: every sync errors, so 100% of the
 	// rumor-sync events are bad — far over any sane threshold.
@@ -57,7 +58,7 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 
 	// The burn is a live series on the pipeline's registry.
 	var buf bytes.Buffer
-	if err := sp.reg.WritePrometheus(&buf); err != nil {
+	if err := sp.Reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `seer_slo_burn_rate{slo="rumor-sync",window="fast"}`) {
@@ -66,23 +67,23 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 
 	// The slo probe flips aggregate health to degraded, naming the
 	// objective in the health document.
-	if h := sp.sup.Health(); h != supervise.Degraded {
+	if h := sp.Sup.Health(); h != supervise.Degraded {
 		t.Fatalf("health = %v after breach, want degraded", h)
 	}
 	found := false
-	for _, p := range sp.sup.Report().Probes {
+	for _, p := range sp.Sup.Report().Probes {
 		if p.Name == "slo" && strings.Contains(p.Detail, "rumor-sync") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no slo probe naming rumor-sync in %+v", sp.sup.Report().Probes)
+		t.Fatalf("no slo probe naming rumor-sync in %+v", sp.Sup.Report().Probes)
 	}
 
 	// The breach auto-captured a flight bundle: reason names the SLO,
 	// and the bundle carries spans, metrics, config, shard states, the
 	// goroutine dump, and the CPU profile.
-	bundle := sp.flight.Last()
+	bundle := sp.Flight.Last()
 	if bundle == "" {
 		t.Fatal("no flight bundle captured on breach")
 	}
@@ -107,7 +108,7 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 	}
 
 	// A second breach inside the debounce window must not capture again.
-	if dir, err := sp.flight.TryCapture("again"); err != nil || dir != "" {
+	if dir, err := sp.Flight.TryCapture("again"); err != nil || dir != "" {
 		t.Fatalf("TryCapture inside MinInterval = (%q, %v), want debounced no-op", dir, err)
 	}
 }

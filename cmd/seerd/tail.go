@@ -113,7 +113,7 @@ func feedLines(ctx context.Context, r io.Reader, maxLine int, fn func(string)) e
 	}
 }
 
-// bootstrap is the cold pass over the existing trace r into the single
+// bootstrap is the cold pass over the existing trace f into the single
 // slot. It must not shed: it applies backpressure at the producer,
 // ingesting at most a queue's worth of lines and then waiting for the
 // feeder to catch up before reading on. One "bootstrap" root span
@@ -122,10 +122,10 @@ func feedLines(ctx context.Context, r io.Reader, maxLine int, fn func(string)) e
 // fails while a batch is in flight (a restart drops the event it was
 // feeding; a broken feeder feeds nothing), the batch can never be
 // caught up: bootstrap stops reading and returns an error counting the
-// unfed events.
-func (p *pipeline) bootstrap(ctx context.Context, r io.Reader) error {
+// unfed events. A read that reaches EOF hands its end to the tailer.
+func (p *pipeline) bootstrap(ctx context.Context, f *os.File) error {
 	s := p.mgr.Shard(0)
-	root := p.tracer.StartRoot("bootstrap")
+	root := p.Tracer.StartRoot("bootstrap")
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	bctx := obs.ContextWithSpan(rctx, root.Context())
@@ -163,7 +163,7 @@ func (p *pipeline) bootstrap(ctx context.Context, r io.Reader) error {
 			}
 		}
 	}
-	err := feedLines(bctx, r, maxLineLen, func(line string) {
+	err := feedLines(bctx, f, maxLineLen, func(line string) {
 		if batch = append(batch, line); len(batch) >= capacity {
 			flush()
 		}
@@ -173,7 +173,40 @@ func (p *pipeline) bootstrap(ctx context.Context, r io.Reader) error {
 	if lost != nil {
 		return lost
 	}
+	if err == nil {
+		// At EOF the buffered reader has consumed everything it read, so
+		// the file position is where the tailer must pick up. Without a
+		// handoff (stdin is a pipe and cannot seek) the tailer starts at
+		// the end, as a restart does.
+		st, serr := f.Stat()
+		off, oerr := f.Seek(0, io.SeekCurrent)
+		if serr == nil && oerr == nil {
+			p.handoff = &tailHandoff{file: st, offset: off}
+		}
+	}
 	return err
+}
+
+// tailHandoff is where bootstrap stopped reading the trace: the file it
+// read and the offset of its EOF.
+type tailHandoff struct {
+	file   os.FileInfo
+	offset int64
+}
+
+// seek positions f, freshly opened at its start, where bootstrap
+// stopped: at the handoff offset while f is still the file bootstrap
+// read and has not shrunk below it, else at 0 (it was rotated or
+// truncated in between, so all of it is new). It returns the offset.
+func (h *tailHandoff) seek(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if !os.SameFile(st, h.file) || st.Size() < h.offset {
+		return 0, nil
+	}
+	return f.Seek(h.offset, io.SeekStart)
 }
 
 // tailIngest hands one batch of tailed lines to the single slot,
@@ -197,12 +230,13 @@ func (p *pipeline) tailIngest(ctx context.Context, lines []string) {
 // tailer never touches the correlator (or its lock), so a wedged
 // clustering cannot stall the tail loop. It survives the file being
 // truncated or rotated (size shrank or inode changed): the new file is
-// reopened from the start instead of polling a dead offset forever. It
-// returns when ctx is cancelled; errors and panics bubble to the
-// supervisor, which restarts the stage with backoff (each fresh start
-// seeks to the current end of the file).
+// reopened from the start instead of polling a dead offset forever. Its
+// first run resumes where bootstrap stopped reading, so lines appended
+// in between are ingested. It returns when ctx is cancelled; errors and
+// panics bubble to the supervisor, which restarts the stage with
+// backoff (a restart seeks to the current end of the file).
 func (p *pipeline) tailStage(ctx context.Context) error {
-	path := p.store.Get().Daemon.Strace
+	path := p.Store.Get().Daemon.Strace
 	tlog := logger.With("component", "tailer")
 	var (
 		f      *os.File
@@ -259,16 +293,24 @@ func (p *pipeline) tailStage(ctx context.Context) error {
 		split = lineSplitter{max: maxLineLen, log: tlog}
 		return nil
 	}
-	if err := open(true); err != nil {
+	resume := p.handoff
+	p.handoff = nil
+	if err := open(resume == nil); err != nil {
 		return fmt.Errorf("follow: %w", err)
 	}
 	defer func() { f.Close() }()
+	if resume != nil {
+		var err error
+		if offset, err = resume.seek(f); err != nil {
+			return fmt.Errorf("follow: %w", err)
+		}
+	}
 	for {
 		chunk, err := br.ReadString('\n')
 		offset += int64(len(chunk))
 		if line, ok := split.push(chunk, err == nil); ok {
 			if bctx == nil {
-				root = p.tracer.StartRoot("tail")
+				root = p.Tracer.StartRoot("tail")
 				bctx = obs.ContextWithSpan(ctx, root.Context())
 			}
 			batch = append(batch, line)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/core"
+	"github.com/fmg/seer/internal/daemon"
 	"github.com/fmg/seer/internal/fault"
 	"github.com/fmg/seer/internal/obs"
 	"github.com/fmg/seer/internal/shard"
@@ -38,7 +39,7 @@ func TestFollowFailureMatrix(t *testing.T) {
 	rt := testRuntime(path)
 	rt.Daemon.Follow = true
 	rt.Daemon.ShardDir = dir
-	p, stop := startTestPipeline(t, pipelineConfig{rt: rt, checkpointEvery: 15 * time.Millisecond},
+	p, stop := startTestPipeline(t, pipelineConfig{Options: daemon.Options{Runtime: rt}, checkpointEvery: 15 * time.Millisecond},
 		func(p *pipeline) { p.mgr.Shard(0).SetSaveWrapper(sink.Do) })
 
 	// Healthy append baseline.
@@ -54,11 +55,11 @@ func TestFollowFailureMatrix(t *testing.T) {
 	}
 	waitEvents(t, p, 2)
 	waitFor(t, "degraded during sink break (truncation)", func() bool {
-		return p.sup.Health() == supervise.Degraded
+		return p.Sup.Health() == supervise.Degraded
 	})
 	sink.Heal()
 	waitFor(t, "healthy after heal (truncation)", func() bool {
-		return p.sup.Health() == supervise.Healthy
+		return p.Sup.Health() == supervise.Healthy
 	})
 
 	// Case 2: rotation while checkpoints fail.
@@ -72,11 +73,11 @@ func TestFollowFailureMatrix(t *testing.T) {
 	}
 	waitEvents(t, p, 3)
 	waitFor(t, "degraded during sink break (rotation)", func() bool {
-		return p.sup.Health() == supervise.Degraded
+		return p.Sup.Health() == supervise.Degraded
 	})
 	sink.Heal()
 	waitFor(t, "healthy after heal (rotation)", func() bool {
-		return p.sup.Health() == supervise.Healthy
+		return p.Sup.Health() == supervise.Healthy
 	})
 
 	// Case 3: rotation immediately followed by truncation, sink healthy —
@@ -211,4 +212,69 @@ func preview(lines []string) []string {
 		out[i] = s
 	}
 	return out
+}
+
+// TestFollowResumesWhereBootstrapStopped appends lines between the
+// bootstrap's EOF and the tailer's first open. The tailer must pick up
+// where bootstrap stopped, not at the file's end when it opens, so no
+// line is lost at the handoff; a file rotated or truncated in between
+// is read from its start instead.
+func TestFollowResumesWhereBootstrapStopped(t *testing.T) {
+	oldPoll := followPoll
+	followPoll = 5 * time.Millisecond
+	t.Cleanup(func() { followPoll = oldPoll })
+
+	for _, c := range []struct {
+		name    string
+		between func(t *testing.T, path string)
+		want    uint64
+	}{
+		{"append", func(t *testing.T, path string) {
+			for i := 5; i < 8; i++ {
+				appendLine(t, path, chaosLine(i))
+			}
+		}, 8},
+		{"rotate", func(t *testing.T, path string) {
+			next := path + ".next"
+			writeTrace(t, next, 2)
+			if err := os.Rename(next, path); err != nil {
+				t.Fatal(err)
+			}
+		}, 7},
+		{"truncate", func(t *testing.T, path string) {
+			writeTrace(t, path, 2)
+		}, 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "seer.strace")
+			writeTrace(t, path, 5)
+			rt := testRuntime(path)
+			rt.Daemon.Follow = true
+			p := newPipeline(pipelineConfig{Options: daemon.Options{
+				Runtime: rt, Base: rt, Supervisor: testSupervisorConfig()}})
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = p.bootstrap(context.Background(), f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.between(t, path)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			p.Sup.Start(ctx)
+			defer func() {
+				cancel()
+				p.Sup.Wait()
+				p.close()
+			}()
+			waitEvents(t, p, c.want)
+			time.Sleep(30 * time.Millisecond) // several polls: nothing is read twice
+			if got := events(p); got != c.want {
+				t.Fatalf("fed %d events, want %d", got, c.want)
+			}
+		})
+	}
 }

@@ -17,8 +17,9 @@
 //
 // Every decision is counted on the shared obs registry
 // (seer_admit_admitted_total / seer_admit_shed_total per endpoint), and
-// ShedRecently feeds the daemon health probe so sustained shedding
-// surfaces as "degraded" without any extra bookkeeping in the daemons.
+// Probe is the health probe every limiter registers, so sustained
+// shedding surfaces as "degraded" without any extra bookkeeping in the
+// daemons.
 // Limits are atomically settable, so a hot config reload retunes a live
 // limiter between two requests.
 package admit
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/supervise"
 )
 
 // Limits configures one Limiter. Zero values disable the corresponding
@@ -131,6 +133,19 @@ func (l *Limiter) ShedRecently(window time.Duration) bool {
 	return at != 0 && time.Since(time.Unix(0, at)) < window
 }
 
+// ShedWindow is how long after its last shed a limiter's health probe
+// stays degraded.
+const ShedWindow = 15 * time.Second
+
+// Probe is the limiter's health probe: degraded while a request was
+// shed within ShedWindow, healthy one window after the last shed.
+func (l *Limiter) Probe() supervise.Probe {
+	if l.ShedRecently(ShedWindow) {
+		return supervise.Probe{State: supervise.Degraded, Detail: "shedding recently"}
+	}
+	return supervise.Probe{State: supervise.Healthy, Detail: "no recent shedding"}
+}
+
 // acquire admits or sheds one request.
 func (l *Limiter) acquire() bool {
 	n := l.inflight.Add(1)
@@ -222,35 +237,4 @@ func (l *Limiter) WrapFunc(next http.HandlerFunc) http.HandlerFunc {
 		defer func() { l.release(time.Since(start)) }()
 		next(w, req)
 	}
-}
-
-// Set is a named group of limiters — one per daemon — so health probes
-// and reload plumbing can address "all the daemon's limiters" at once.
-type Set struct {
-	limiters []*Limiter
-}
-
-// NewSet returns an empty Set.
-func NewSet() *Set { return &Set{} }
-
-// Add constructs a Limiter via New and tracks it in the set.
-func (s *Set) Add(name string, reg *obs.Registry, pressure func() int) *Limiter {
-	l := New(name, reg, pressure)
-	s.limiters = append(s.limiters, l)
-	return l
-}
-
-// Limiters returns the tracked limiters.
-func (s *Set) Limiters() []*Limiter { return s.limiters }
-
-// ShedRecently reports whether any tracked limiter shed within the
-// window, naming the offenders.
-func (s *Set) ShedRecently(window time.Duration) (bool, []string) {
-	var names []string
-	for _, l := range s.limiters {
-		if l.ShedRecently(window) {
-			names = append(names, l.name)
-		}
-	}
-	return len(names) > 0, names
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/supervise"
 )
 
 // get issues one GET through the handler and returns the recorder.
@@ -177,7 +178,7 @@ func TestLatencySignalSpairesLoneRequest(t *testing.T) {
 
 func TestShedRecently(t *testing.T) {
 	l := New("rumor", obs.NewRegistry(), nil)
-	if l.ShedRecently(time.Hour) {
+	if l.ShedRecently(time.Hour) || l.Probe().State != supervise.Healthy {
 		t.Fatal("fresh limiter reports shedding")
 	}
 	l.SetLimits(Limits{MaxQueuePct: 1})
@@ -189,17 +190,8 @@ func TestShedRecently(t *testing.T) {
 	if l.ShedRecently(time.Nanosecond) {
 		t.Fatal("nanosecond window still matches")
 	}
-
-	s := NewSet()
-	a := s.Add("a", nil, nil)
-	s.Add("b", nil, nil)
-	if hit, _ := s.ShedRecently(time.Hour); hit {
-		t.Fatal("empty set sheds")
-	}
-	a.lastShed.Store(time.Now().UnixNano())
-	hit, names := s.ShedRecently(time.Hour)
-	if !hit || len(names) != 1 || names[0] != "a" {
-		t.Fatalf("hit=%v names=%v", hit, names)
+	if p := l.Probe(); p.State != supervise.Degraded || p.Detail != "shedding recently" {
+		t.Fatalf("probe after a shed = %+v, want degraded", p)
 	}
 }
 

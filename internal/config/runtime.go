@@ -344,16 +344,16 @@ func buildKnobs() []Knob {
 		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.FlightMinIntervalSec })
 	add(spec{name: "flight-min-interval-sec", usage: "min seconds between automatic (SLO-breach) flight captures",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOFastWindowSec })
 	add(spec{name: "slo-fast-window-sec", usage: "fast (paging) SLO burn-rate window in seconds",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOSlowWindowSec })
 	add(spec{name: "slo-slow-window-sec", usage: "slow (confirming) SLO burn-rate window in seconds",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, daemons: ForSeerd, set: set, get: get})
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOBurnThreshold })
 	add(spec{name: "slo-burn-threshold", usage: "fast-window burn rate that marks an SLO breached",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
+		structural: true, daemons: ForSeerd, set: set, get: get})
 
 	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueCap })
 	add(spec{name: "queue", usage: "bounded ingestion queue capacity of each shard",

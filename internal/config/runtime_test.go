@@ -147,6 +147,35 @@ func TestRumordFlagParity(t *testing.T) {
 	}
 }
 
+// Each daemon's flag list is pinned: a knob joins a daemon only if
+// that daemon uses it (rumord runs no SLO monitor and never debounces a
+// flight capture, so it has no slo-* or flight-min-interval-sec flag).
+// -config is registered by the daemons themselves.
+func TestDaemonFlagLists(t *testing.T) {
+	for _, c := range []struct {
+		mask DaemonMask
+		want string
+	}{
+		{ForSeerd, "admit-latency-ms admit-plan-inflight admit-queue-pct admit-retry-after " +
+			"admit-rumor-inflight budget cluster-churn-threshold debug-addr drain-timeout-ms " +
+			"flight-dir flight-min-interval-sec follow gateway-retries gateway-retry-base-ms " +
+			"gateway-timeout-ms listen log-format log-level queue queue-block-ms rumor rumor-url " +
+			"shard-dir shards slo-burn-threshold slo-fast-window-sec slo-slow-window-sec strace tracing"},
+		{ForRumord, "admit-latency-ms admit-retry-after admit-rumor-inflight debug-addr " +
+			"flight-dir listen log-format log-level tracing"},
+		{ForSeerctl, "budget"},
+	} {
+		r := DefaultRuntime()
+		fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+		RegisterFlags(fs, &r, c.mask)
+		var names []string
+		fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+		if got := strings.Join(names, " "); got != c.want {
+			t.Errorf("mask %d flags:\n got %s\nwant %s", c.mask, got, c.want)
+		}
+	}
+}
+
 func TestStructuralDiff(t *testing.T) {
 	old := DefaultRuntime()
 	next := old

@@ -199,12 +199,14 @@ func (p *Plan) Fill(budget int64, wholeClusters bool) *Contents {
 // Contents is a filled hoard.
 type Contents struct {
 	files  map[simfs.FileID]bool
+	order  []simfs.FileID // files in the order Fill admitted them
 	used   int64
 	budget int64
 }
 
 func (c *Contents) add(f *simfs.File) {
 	c.files[f.ID] = true
+	c.order = append(c.order, f.ID)
 	c.used += f.Size
 }
 
@@ -220,22 +222,22 @@ func (c *Contents) UsedBytes() int64 { return c.used }
 // Budget returns the configured budget.
 func (c *Contents) Budget() int64 { return c.budget }
 
-// IDs returns the hoarded file ids in unspecified order.
+// IDs returns the hoarded file ids in the order Fill admitted them —
+// plan order, so the hoard's head comes first — as a fresh slice.
 func (c *Contents) IDs() []simfs.FileID {
-	out := make([]simfs.FileID, 0, len(c.files))
-	for id := range c.files {
-		out = append(out, id)
-	}
-	return out
+	return append([]simfs.FileID(nil), c.order...)
 }
 
-// ContentsOf builds a membership-only Contents from a list of file ids;
-// size accounting is not preserved. Diff uses it to compare a new fill
-// against a remembered previous one.
+// ContentsOf builds a membership-only Contents from a list of file ids,
+// keeping their order; size accounting is not preserved. Diff uses it
+// to compare a new fill against a remembered previous one.
 func ContentsOf(ids []simfs.FileID) *Contents {
 	c := &Contents{files: make(map[simfs.FileID]bool, len(ids))}
 	for _, id := range ids {
-		c.files[id] = true
+		if !c.files[id] {
+			c.files[id] = true
+			c.order = append(c.order, id)
+		}
 	}
 	return c
 }
@@ -245,14 +247,14 @@ func ContentsOf(ids []simfs.FileID) *Contents {
 // instructions handed to the replication substrate.
 func Diff(prev, next *Contents) (fetch, evict []simfs.FileID) {
 	if next != nil {
-		for id := range next.files {
+		for _, id := range next.order {
 			if prev == nil || !prev.files[id] {
 				fetch = append(fetch, id)
 			}
 		}
 	}
 	if prev != nil {
-		for id := range prev.files {
+		for _, id := range prev.order {
 			if next == nil || !next.files[id] {
 				evict = append(evict, id)
 			}

@@ -179,14 +179,41 @@ func TestDiff(t *testing.T) {
 	}
 }
 
+// IDs lists the hoard in plan order, not map or id order: the /hoard
+// listing and the rumor prefetch of its head both depend on it. Whole-
+// cluster filling skips a cluster that does not fit and keeps the order
+// of what follows.
 func TestContentsIDs(t *testing.T) {
-	_, fs := mkfs(1, 2)
+	_, fs := mkfs(20, 5, 5, 50, 60, 10)
 	b := NewBuilder()
+	b.Add(fs[5], ReasonAlways, 0)
+	b.Add(fs[4], ReasonCluster, 1)
+	b.Add(fs[3], ReasonCluster, 1)
+	b.Add(fs[2], ReasonCluster, 2)
+	b.Add(fs[1], ReasonCluster, 2)
 	b.Add(fs[0], ReasonRecency, 0)
-	b.Add(fs[1], ReasonRecency, 0)
-	c := b.Plan().Fill(100, false)
-	if got := c.IDs(); len(got) != 2 {
-		t.Errorf("IDs = %v", got)
+	plan := b.Plan()
+	for _, c := range []struct {
+		whole bool
+		want  []*simfs.File
+	}{
+		{false, []*simfs.File{fs[5], fs[4]}},
+		{true, []*simfs.File{fs[5], fs[2], fs[1], fs[0]}},
+	} {
+		contents := plan.Fill(100, c.whole)
+		got := contents.IDs()
+		if len(got) != len(c.want) {
+			t.Fatalf("whole=%v: IDs = %v, want %d files", c.whole, got, len(c.want))
+		}
+		for i, f := range c.want {
+			if got[i] != f.ID {
+				t.Fatalf("whole=%v: IDs = %v, want plan order", c.whole, got)
+			}
+		}
+		got[0] = -1
+		if contents.IDs()[0] == -1 {
+			t.Fatal("IDs returned the internal slice")
+		}
 	}
 }
 

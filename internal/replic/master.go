@@ -25,9 +25,8 @@ type Master struct {
 	versions map[simfs.FileID]uint64
 
 	// Operation counters live on the registry so they are scrapeable at
-	// /metrics (and still feed rumord's /healthz via Stats()). They are
-	// atomics, so reading them never contends with the version-table
-	// lock.
+	// /metrics. They are atomics, so reading them never contends with
+	// the version-table lock.
 	reg         *obs.Registry
 	mFiles      *obs.Gauge
 	mCreates    *obs.Counter
@@ -167,15 +166,6 @@ func (m *Master) Reconcile(req ReconcileRequest) ReconcileResponse {
 		resp.Clean[i] = VersionInfo{ID: e.ID, Version: v, Found: ok}
 	}
 	return resp
-}
-
-// Stats returns the master's operation counters.
-func (m *Master) Stats() (files int, creates, pushes, conflicts, reconciles uint64) {
-	m.mu.Lock()
-	files = len(m.versions)
-	m.mu.Unlock()
-	return files, m.mCreates.Value(), m.mPushes.Value(),
-		m.mConflicts.Value(), m.mReconciles.Value()
 }
 
 // MasterHandler serves the CheapRumor wire protocol for m. prefix is

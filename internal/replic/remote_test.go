@@ -367,8 +367,9 @@ func TestMasterCreateUpdateIdempotence(t *testing.T) {
 	if m.Len() != 1 {
 		t.Errorf("len = %d", m.Len())
 	}
-	files, creates, pushes, _, _ := m.Stats()
-	if files != 1 || creates != 1 || pushes != 0 {
-		t.Errorf("stats = %d %d %d", files, creates, pushes)
+	vals := scrape(t, m.Metrics())
+	if vals["seer_rumor_files"] != 1 || vals["seer_rumor_creates_total"] != 1 || vals["seer_rumor_pushes_total"] != 0 {
+		t.Errorf("files/creates/pushes = %v %v %v, want 1 1 0", vals["seer_rumor_files"],
+			vals["seer_rumor_creates_total"], vals["seer_rumor_pushes_total"])
 	}
 }

@@ -151,13 +151,10 @@ type Config struct {
 }
 
 // Health-probe thresholds: consecutive checkpoint failures, and
-// consecutive stale or failed plan builds, before the shard degrades;
-// and how long after the limiter's last shed the admission probe keeps
-// the shard degraded.
+// consecutive stale or failed plan builds, before the shard degrades.
 const (
 	ckptDegradedAfter = 3
 	planDegradedAfter = 2
-	shedWindow        = 15 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -377,12 +374,7 @@ func (s *Shard) addProbes() {
 				s.ckptOKAt.Load(), "last_success_age", "")
 		})
 	}
-	s.sup.AddProbe("admission", func() supervise.Probe {
-		if s.lim.ShedRecently(shedWindow) {
-			return supervise.Probe{State: supervise.Degraded, Detail: "shedding recently"}
-		}
-		return supervise.Probe{State: supervise.Healthy, Detail: "no recent shedding"}
-	})
+	s.sup.AddProbe("admission", s.lim.Probe)
 	s.sup.AddProbe("plan", func() supervise.Probe {
 		return streakProbe(s.planFails.Load(), planDegradedAfter, s.planOKAt.Load(),
 			"last_fresh_age", fmt.Sprintf(" stale_served=%d", s.staleSrv.Load()))
@@ -827,6 +819,7 @@ func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, e
 	s.mHoardBytes.Set(contents.UsedBytes())
 	s.mMissFree.Set(missFree)
 	s.mUnhoardable.Set(int64(unhoardable))
+	ids := contents.IDs()
 	fmt.Fprintf(w, "# hoard: %d files, %d bytes of %d budget\n",
 		contents.Len(), contents.UsedBytes(), contents.Budget())
 	for _, l := range []struct {
@@ -837,15 +830,15 @@ func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, e
 		{"ISDN", replic.ISDN},
 		{"10M ethernet", replic.Ethernet10},
 	} {
-		est := replic.EstimateSync(s.corr.FS(), contents.IDs(), l.link)
+		est := replic.EstimateSync(s.corr.FS(), ids, l.link)
 		fmt.Fprintf(w, "# cold fill over %-12s %v\n", l.name+":", est.Duration.Round(time.Second))
 	}
-	for _, id := range contents.IDs() {
+	for _, id := range ids {
 		if f := s.corr.FS().Get(id); f != nil {
 			fmt.Fprintln(w, f.Path)
 		}
 	}
-	return contents.IDs(), nil
+	return ids, nil
 }
 
 // Clusters renders the multi-member clusters; busy shards refuse rather

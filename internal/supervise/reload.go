@@ -16,15 +16,18 @@ import (
 //
 // Change detection is by content, not mtime: each poll reads the file
 // and compares bytes against the last content handed to Apply, so
-// same-second rewrites and mtime-preserving copies are still caught. A
-// torn read of a non-atomically-written file simply fails validation in
-// Apply and is retried on the next poll; writers should still prefer
+// same-second rewrites and mtime-preserving copies are still caught.
+// An in-place rewrite (os.WriteFile truncates, then writes) can be read
+// between the two steps; that torn read is an empty file, which the
+// watcher skips like a missing one, so Apply never sees it. An operator
+// who wants to revert every file setting leaves a comment line instead
+// of an empty file. Writers should still prefer
 // write-to-temp-then-rename.
 //
 // Apply errors do not stop the watcher: the caller logs/counts the
-// rejection and the old configuration keeps serving. A missing file is
-// not an error — the watcher waits for it to appear (and re-applies
-// when it reappears after deletion).
+// rejection and the old configuration keeps serving. A missing or empty
+// file is not an error — the watcher waits for content to appear (and
+// re-applies when it reappears after deletion).
 type Watcher struct {
 	path  string
 	poll  time.Duration
@@ -83,10 +86,11 @@ func (w *Watcher) Stage() StageFunc {
 }
 
 // check reads the file and applies changed content. Read errors
-// (missing file, permissions) leave the last-applied state untouched.
+// (missing file, permissions) and empty reads leave the last-applied
+// state untouched.
 func (w *Watcher) check() {
 	data, err := os.ReadFile(w.path)
-	if err != nil {
+	if err != nil || len(data) == 0 {
 		return
 	}
 	if w.last != nil && bytes.Equal(data, w.last) {

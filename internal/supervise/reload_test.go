@@ -85,6 +85,27 @@ func TestWatcherAppliesChanges(t *testing.T) {
 	<-done
 }
 
+// An in-place rewrite can be read between its truncate and its write.
+// That torn read is an empty file: the watcher must skip it rather than
+// hand Apply an empty config, which would revert every file setting.
+func TestWatcherSkipsEmptyRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seerd.conf")
+	var applied []string
+	w := NewWatcher(path, time.Hour, func(data []byte) error {
+		applied = append(applied, string(data))
+		return nil
+	})
+	for _, content := range []string{"queue 100\n", "", "queue 200\n"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w.check()
+	}
+	if len(applied) != 2 || applied[0] != "queue 100\n" || applied[1] != "queue 200\n" {
+		t.Fatalf("applied %q, want the two non-empty contents", applied)
+	}
+}
+
 func TestWatcherRejectionNotRetriedUntilChange(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seerd.conf")

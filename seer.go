@@ -230,10 +230,8 @@ func (s *Seer) Hoard(budgetBytes int64) []string {
 	plan := s.corr.Plan()
 	contents := plan.Fill(budgetBytes, s.corr.Params().SkipUnfittingClusters)
 	var out []string
-	for _, e := range plan.Entries {
-		if contents.Has(e.File.ID) {
-			out = append(out, e.File.Path)
-		}
+	for _, id := range contents.IDs() {
+		out = append(out, s.corr.FS().Get(id).Path)
 	}
 	return out
 }
