@@ -17,7 +17,7 @@ BENCH_TIME ?= 5x
 BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkFeedEvent$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$
 BENCH_SIM = BenchmarkFigure3$$|BenchmarkTable3$$|BenchmarkWorkloadGenerate$$|BenchmarkSemanticDistance$$
 
-.PHONY: check vet build test test-race fuzz fuzz-strace chaos flake-check shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint bench bench-check load-smoke load-bench
+.PHONY: check vet build test test-race fuzz fuzz-strace chaos flake-check shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint bench bench-check load-smoke load-bench benchmark-test
 
 check: vet build test-race
 
@@ -59,9 +59,12 @@ chaos: vet
 
 # Flake gate: repeat timing-sensitive tests many times, at one and four
 # CPUs, under the race detector, so a test that passes once by luck
-# fails here. It starts with the config watcher's tests.
+# fails here: the config watcher's tests, and the property test pinning
+# each shard's published /plan and /hoard to a render under the lock
+# while feeds, misses, reloads and reads race.
 flake-check:
 	$(GO) test -race -count=20 -cpu=1,4 -run TestWatcher ./internal/supervise/
+	$(GO) test -race -count=20 -cpu=1,4 -run TestPublishedBodyMatchesLockedRender ./internal/shard/
 
 # Metrics smoke: run a built seerd against a sample strace file and
 # verify /metrics exposes the core series, the debug listener serves
@@ -100,12 +103,13 @@ metrics-lint:
 # Shard-isolation chaos gate: 8 shards behind the gateway under
 # concurrent /plan + /events load while one shard at a time takes a
 # panic, a wedged correlator, or a corrupt SEERDB — every other shard
-# must keep answering 200 with zero cross-shard stage restarts, and a
+# must keep answering 200 with zero cross-shard stage restarts, a
 # mid-traffic drain/migrate must replay a byte-identical plan with zero
-# event loss (DESIGN.md §15). Race detector on; CHAOS_COUNT repeats.
+# event loss, and a hung rumor master must hold no shard's /hoard past
+# its deadline (DESIGN.md §15). Race detector on; CHAOS_COUNT repeats.
 shard-chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest|TestCheckpointFailureDegradesOnlyItsShard' \
+		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest|TestCheckpointFailureDegradesOnlyItsShard|TestHungRumorBlocksNoHoardPastDeadline' \
 		./internal/shard/ ./internal/supervise/
 
 # Replication chaos gate: the networked CheapRumor substrate under 30%
@@ -139,6 +143,14 @@ load-bench:
 	$(GO) build -o bin/seerload ./cmd/seerload
 	BASELINE_OUT=BENCH_load.json STEPS=6 STEP_DUR=3s \
 		CLIENTS=64 START_RPS=500 STEP_RPS=700 sh scripts/load_smoke.sh
+
+# The end-to-end benchmark's own tests (benchmark/ is a module of its
+# own, so `go test ./...` at the root skips it): the strace encoder
+# round trip, the metric catalogue, and TestSmoke, which runs all four
+# workloads at toy size against a built seerd and rumord with every
+# output check on, the twin and byte-identity checks included.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 bench:
 	$(GO) build -o bin/benchcmp ./cmd/benchcmp

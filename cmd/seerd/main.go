@@ -39,8 +39,8 @@
 // instead of crash-looping. Ingestion reaches a shard's feeder through
 // a bounded queue (block briefly, then shed-oldest with a drop
 // counter), so a wedged clustering can never stall the tail loop, and
-// /plan and /hoard fall back to the last-good plan (X-Seer-Stale: true)
-// when a fresh one cannot be built before the deadline.
+// /plan and /hoard fall back to the last published plan (X-Seer-Stale:
+// true) when a fresh one cannot be built before the deadline.
 //
 // Durability: with -shard-dir, each shard restores shard-NNN.db at
 // startup through a recovery ladder (snapshot, then its .bak rotation,

@@ -156,14 +156,16 @@ func (r *RemoteRumor) retry(op func() error) error {
 	})
 }
 
-// post performs one protocol round trip and hands the response body to
-// decode. Transport failures, non-200 statuses, and frame corruption
-// all come back wrapping ErrUnavailable. sc, when valid, parents a
-// client span over the round trip and rides the wire as traceparent.
-func (r *RemoteRumor) post(sc obs.SpanContext, path string, body []byte, decode func(io.Reader) error) error {
+// post performs one protocol round trip under ctx and hands the
+// response body to decode. Transport failures (ctx ending included),
+// non-200 statuses, and frame corruption all come back wrapping
+// ErrUnavailable. A span on ctx parents a client span over the round
+// trip, which rides the wire as traceparent.
+func (r *RemoteRumor) post(ctx context.Context, path string, body []byte, decode func(io.Reader) error) error {
+	sc, _ := obs.SpanFromContext(ctx)
 	sp := r.tracer.StartChild(sc, "rumor:"+strings.TrimPrefix(path, "/"))
 	start := time.Now()
-	err := r.postOnce(sp.Context(), path, body, decode)
+	err := r.postOnce(ctx, sp.Context(), path, body, decode)
 	r.mRTT.ObserveTrace(time.Since(start).Seconds(), sc.Trace)
 	if err != nil {
 		r.mErrs.Inc()
@@ -173,8 +175,8 @@ func (r *RemoteRumor) post(sc obs.SpanContext, path string, body []byte, decode 
 	return err
 }
 
-func (r *RemoteRumor) postOnce(sc obs.SpanContext, path string, body []byte, decode func(io.Reader) error) error {
-	req, err := http.NewRequest(http.MethodPost, r.baseURL+path, bytes.NewReader(body))
+func (r *RemoteRumor) postOnce(ctx context.Context, sc obs.SpanContext, path string, body []byte, decode func(io.Reader) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.baseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrUnavailable, path, err)
 	}
@@ -239,7 +241,7 @@ func (r *RemoteRumor) Fetch(id simfs.FileID) error {
 	}
 	var info VersionInfo
 	err = r.retry(func() error {
-		return r.post(obs.SpanContext{}, "/version", req, func(body io.Reader) error {
+		return r.post(context.TODO(), "/version", req, func(body io.Reader) error {
 			var derr error
 			info, derr = decodeVersionResp(body)
 			return derr
@@ -260,31 +262,31 @@ func (r *RemoteRumor) Fetch(id simfs.FileID) error {
 // the files the master does not replicate; err is a transport failure
 // (retryable — no state changed).
 func (r *RemoteRumor) SyncBatch(fetch, evict []simfs.FileID) (failed []simfs.FileID, err error) {
-	return r.syncBatch(obs.SpanContext{}, fetch, evict)
+	return r.SyncBatchCtx(context.Background(), fetch, evict)
 }
 
-// SyncBatchCtx is SyncBatch carrying the caller's trace context: the
-// /fetch round trip records a client span parented on ctx's span, so a
-// hoard fill triggered by a traced request shows up inside that trace.
+// SyncBatchCtx is SyncBatch under the caller's context: the /fetch
+// round trip gives up when ctx ends, and records a client span
+// parented on ctx's span, so a hoard fill triggered by a traced request
+// shows up inside that trace. The client's lock is not held across the
+// round trip, so a hung master costs each caller no more than its own
+// deadline.
 func (r *RemoteRumor) SyncBatchCtx(ctx context.Context, fetch, evict []simfs.FileID) (failed []simfs.FileID, err error) {
-	sc, _ := obs.SpanFromContext(ctx)
-	return r.syncBatch(sc, fetch, evict)
-}
-
-func (r *RemoteRumor) syncBatch(sc obs.SpanContext, fetch, evict []simfs.FileID) (failed []simfs.FileID, err error) {
+	var req []byte
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if !r.connected {
-		return nil, ErrDisconnected
+		err = ErrDisconnected
+	} else if len(fetch) > 0 {
+		req, err = encodeIDList(fetch)
 	}
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	var infos []VersionInfo
 	if len(fetch) > 0 {
-		req, eerr := encodeIDList(fetch)
-		if eerr != nil {
-			return nil, eerr
-		}
-		var infos []VersionInfo
 		err = r.retry(func() error {
-			return r.post(sc, "/fetch", req, func(body io.Reader) error {
+			return r.post(ctx, "/fetch", req, func(body io.Reader) error {
 				var derr error
 				infos, derr = decodeFetchResp(body)
 				return derr
@@ -297,13 +299,15 @@ func (r *RemoteRumor) syncBatch(sc obs.SpanContext, fetch, evict []simfs.FileID)
 			return nil, fmt.Errorf("%w: /fetch: %d answers for %d files",
 				ErrUnavailable, len(infos), len(fetch))
 		}
-		for _, info := range infos {
-			if !info.Found {
-				failed = append(failed, info.ID)
-				continue
-			}
-			r.applyFetchLocked(info.ID, info.Version)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, info := range infos {
+		if !info.Found {
+			failed = append(failed, info.ID)
+			continue
 		}
+		r.applyFetchLocked(info.ID, info.Version)
 	}
 	for _, id := range evict {
 		r.evictLocked(id)
@@ -371,7 +375,7 @@ func (r *RemoteRumor) Access(id simfs.FileID) AccessResult {
 		if req, err := encodeID(id); err == nil {
 			var info VersionInfo
 			err := r.retry(func() error {
-				return r.post(obs.SpanContext{}, "/version", req, func(body io.Reader) error {
+				return r.post(context.TODO(), "/version", req, func(body io.Reader) error {
 					var derr error
 					info, derr = decodeVersionResp(body)
 					return derr
@@ -410,7 +414,7 @@ func (r *RemoteRumor) WriteLocal(id simfs.FileID) {
 	}
 	var res PushResult
 	err = r.retry(func() error {
-		return r.post(obs.SpanContext{}, "/push", req, func(body io.Reader) error {
+		return r.post(context.TODO(), "/push", req, func(body io.Reader) error {
 			var derr error
 			res, derr = decodePushResp(body)
 			return derr
@@ -527,7 +531,7 @@ func (r *RemoteRumor) reconcileLocked() (ReconcileReport, error) {
 	}
 	var resp ReconcileResponse
 	err = r.retry(func() error {
-		return r.post(obs.SpanContext{}, "/reconcile", body, func(rd io.Reader) error {
+		return r.post(context.TODO(), "/reconcile", body, func(rd io.Reader) error {
 			var derr error
 			resp, derr = decodeReconcileResp(rd)
 			return derr

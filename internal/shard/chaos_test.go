@@ -26,6 +26,7 @@ import (
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/obs"
+	"github.com/fmg/seer/internal/replic"
 	"github.com/fmg/seer/internal/trace"
 )
 
@@ -683,5 +684,78 @@ func TestGatewayInputDiscipline(t *testing.T) {
 				t.Errorf("drain of unknown shard: HTTP %d, want 409", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// A hung rumor master must not couple the bulkheads. Every shard shares
+// one RemoteRumor; while shard 0's /hoard waits on a /fetch the master
+// never answers, shard 1's /hoard (a published hit, whose only work is
+// the fill) still returns within its own deadline, fresh.
+func TestHungRumorBlocksNoHoardPastDeadline(t *testing.T) {
+	var hung atomic.Bool
+	release, fetching := make(chan struct{}), make(chan struct{}, 1)
+	master := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hung.Load() && r.URL.Path == "/rumor/fetch" {
+			select {
+			case fetching <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		http.Error(w, "master unavailable", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(master.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	mgr := NewManager(ctx, ManagerConfig{
+		Shards:     2,
+		Runtime:    chaosRuntime(),
+		Seed:       1,
+		Supervisor: fastSupervisor(),
+		Rumor:      replic.NewRemoteRumor(master.URL+"/rumor", nil),
+	})
+	t.Cleanup(func() { mgr.Close() })
+	s0, s1 := mgr.Shard(0), mgr.Shard(1)
+	ingest(t, s0, testLines(0, 20))
+	ingest(t, s1, testLines(0, 20))
+	if _, stale, err := s1.Hoard(context.Background()); err != nil || stale {
+		t.Fatalf("warm shard 1 /hoard: stale %v, err %v", stale, err)
+	}
+
+	hung.Store(true)
+	stuck := make(chan struct{})
+	go func() {
+		defer close(stuck)
+		s0.Hoard(context.Background())
+	}()
+	defer func() {
+		close(release)
+		<-stuck
+	}()
+	select {
+	case <-fetching:
+	case <-time.After(10 * time.Second):
+		t.Fatal("shard 0's hoard fill never reached the master")
+	}
+
+	type answer struct {
+		stale bool
+		err   error
+	}
+	done := make(chan answer, 1)
+	hctx, hcancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer hcancel()
+	go func() {
+		_, stale, err := s1.Hoard(hctx)
+		done <- answer{stale, err}
+	}()
+	select {
+	case a := <-done:
+		if a.err != nil || a.stale {
+			t.Fatalf("shard 1 /hoard beside a hung fill: stale %v, err %v; want a fresh listing", a.stale, a.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("shard 1's /hoard under a 200 ms deadline still blocked after 1 s behind shard 0's hung rumor fill")
 	}
 }

@@ -20,8 +20,8 @@ import (
 // contentText is the Content-Type of every text endpoint.
 const contentText = "text/plain; charset=utf-8"
 
-// StaleHeader marks a response served from a shard's last-good plan
-// cache rather than a fresh clustering.
+// StaleHeader marks a response served from a shard's last published
+// body because no fresh one was available in time.
 const StaleHeader = "X-Seer-Stale"
 
 // maxIngestBody bounds one POST /events body: big enough for a day of

@@ -150,9 +150,9 @@ func (m *Manager) registerMetrics() {
 	}
 }
 
-// StaleServed returns the process-wide count of reads answered from a
-// last-good cache (monotonic across drain/replace) — the stale half of
-// the SLO's bad events.
+// StaleServed returns the process-wide count of reads answered stale
+// from a shard's last published body (monotonic across drain/replace)
+// — the stale half of the SLO's bad events.
 func (m *Manager) StaleServed() uint64 { return staleCounter(m.cfg.Metrics).Value() }
 
 // shardConfig derives slot i's shard Config from the manager's Runtime.

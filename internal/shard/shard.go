@@ -21,8 +21,15 @@
 // shards behind a consistent-hash ring and a Gateway fronts them with
 // per-request timeouts, bounded retry with backoff and jitter on
 // transient shard states, and health-aware routing (draining shards
-// serve their stale plan cache; closed slots are rerouted to the
-// replacement).
+// serve their last published plan, flagged stale; closed slots are
+// rerouted to the replacement).
+//
+// Between two mutations a shard's plan cannot change, so each endpoint
+// publishes its rendered body once per generation: every lock
+// acquisition that may mutate the correlator advances the generation,
+// and a read at an unchanged generation returns the published bytes
+// without the lock, the plan build or the render. The same store
+// answers stale reads.
 package shard
 
 import (
@@ -60,9 +67,9 @@ const (
 	Opening State = iota
 	// Serving is the steady state: ingesting, planning, checkpointing.
 	Serving
-	// Draining means a drain is in progress: reads fall back to the
-	// stale plan cache, writes are refused as transient (the gateway
-	// retries them against the replacement).
+	// Draining means a drain is in progress: reads serve the last
+	// published bodies flagged stale, writes are refused as transient
+	// (the gateway retries them against the replacement).
 	Draining
 	// Closed means the final checkpoint is on disk and the shard will
 	// never serve again; the manager routes its slot to a replacement.
@@ -191,37 +198,20 @@ type event struct {
 	parent obs.SpanID
 }
 
-// planCache is the shard's last-good rendered /plan and /hoard bodies.
-type planCache struct {
-	mu    sync.Mutex
-	plan  []byte
-	hoard []byte
-	at    time.Time
-}
-
-func (c *planCache) set(hoard bool, b []byte) {
-	c.mu.Lock()
-	if hoard {
-		c.hoard = b
-	} else {
-		c.plan = b
-	}
-	c.at = time.Now()
-	c.mu.Unlock()
-}
-
-func (c *planCache) get(hoard bool) ([]byte, time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hoard {
-		return c.hoard, c.at
-	}
-	return c.plan, c.at
+// published is one endpoint's rendered answer: the body the correlator
+// produced at generation gen (and, for /hoard, at budget bytes, with
+// ids the chosen files in fill order). It is immutable once stored, so
+// every reader of its generation shares it.
+type published struct {
+	gen    uint64
+	budget int64
+	body   []byte
+	ids    []simfs.FileID
 }
 
 // Shard is one tenant partition's bulkhead: correlator, queue, stages,
-// limiter, plan cache, snapshot path. All exported methods are safe for
-// concurrent use.
+// limiter, published bodies, snapshot path. All exported methods are
+// safe for concurrent use.
 type Shard struct {
 	id   int
 	name string
@@ -246,8 +236,15 @@ type Shard struct {
 	parserMu sync.Mutex
 	parser   *strace.Parser
 
+	// gen is the correlator's mutation generation: lockMut advances it
+	// on every acquisition that may change what a plan says. planPub and
+	// hoardPub hold each endpoint's last rendered body, the fresh answer
+	// while its generation is current and the stale fallback after.
+	gen      atomic.Uint64
+	planPub  atomic.Pointer[published]
+	hoardPub atomic.Pointer[published]
+
 	budget    atomic.Int64
-	plans     planCache
 	lastTrace atomic.Uint64
 	staleSrv  atomic.Int64
 
@@ -263,6 +260,8 @@ type Shard struct {
 	mPlans  *obs.Counter
 	mStale  *obs.Counter
 	mMisses *obs.Counter
+	// mLockWait times requests' waits for the correlator lock.
+	mLockWait *obs.Histogram
 	// Paper-§5 gauges of the latest fresh hoard, labelled by shard.
 	mHoardFiles  *obs.Gauge
 	mHoardBytes  *obs.Gauge
@@ -305,10 +304,13 @@ func Open(ctx context.Context, cfg Config) *Shard {
 	s.lim = admit.New("shard"+s.name, cfg.Metrics, s.queue.FillPct)
 	s.lim.SetLimits(cfg.Limits)
 	s.mPlans = cfg.Metrics.Counter("seer_plans_built_total",
-		"Hoard-plan constructions (the /plan and /hoard endpoints plus one-shot mode).")
+		"Hoard-plan renders: /plan and /hoard answers not served from the published body, one-shot mode included.")
 	s.mStale = staleCounter(cfg.Metrics)
 	s.mMisses = cfg.Metrics.Counter("seer_hoard_misses_total",
 		"Hoard misses recorded through /miss (paper §4.4).")
+	s.mLockWait = cfg.Metrics.HistogramVec("seer_shard_lock_wait_seconds",
+		"Time a /plan or /hoard render, or a /miss, waited for the shard's correlator lock.",
+		nil, "shard").With(s.name)
 	s.mHoardFiles = cfg.Metrics.GaugeVec("seer_hoard_files",
 		"Files chosen by the shard's most recent hoard fill.", "shard").With(s.name)
 	s.mHoardBytes = cfg.Metrics.GaugeVec("seer_hoard_bytes",
@@ -352,7 +354,7 @@ func Open(ctx context.Context, cfg Config) *Shard {
 // every shard (and the manager's SLO feed) through the registry.
 func staleCounter(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("seer_stale_plans_served_total",
-		"Plan/hoard responses served from the last-good cache.")
+		"Plan/hoard responses served stale from the last published body.")
 }
 
 // addProbes registers the shard's health probes: ingestion-queue
@@ -492,8 +494,8 @@ func (s *Shard) Params() config.Params {
 	return s.corr.Params()
 }
 
-// StaleServed returns how many reads the shard answered from its
-// last-good cache.
+// StaleServed returns how many reads the shard answered stale from its
+// published bodies.
 func (s *Shard) StaleServed() int64 { return s.staleSrv.Load() }
 
 // lock acquires the correlator lock unconditionally.
@@ -517,6 +519,39 @@ func (s *Shard) lockCtx(ctx context.Context) bool {
 	}
 }
 
+// lockMut is lockCtx for an acquisition that may mutate the
+// correlator, and the only one: it advances the generation after
+// taking the lock and before the caller (or the feed hook) touches the
+// correlator. So a read that sees a mutation's effect, even just
+// Events() counting it at the top of Feed, can no longer match a body
+// published before it, and a read blocked behind a wedged feed falls
+// back to stale rather than answering from the old generation.
+func (s *Shard) lockMut(ctx context.Context) bool {
+	if !s.lockCtx(ctx) {
+		return false
+	}
+	s.gen.Add(1)
+	return true
+}
+
+// lockWait takes the correlator lock through acquire (lockCtx, or
+// lockMut for a mutation) on behalf of the request whose span ctx
+// carries. The wait becomes a lock_wait child span and one observation
+// of seer_shard_lock_wait_seconds{shard}; the per-event feeder does not
+// come through here, so ingest pays nothing for it.
+func (s *Shard) lockWait(ctx context.Context, acquire func(context.Context) bool) bool {
+	sc, _ := obs.SpanFromContext(ctx)
+	sp := s.tracer.StartChild(sc, "lock_wait").Attr("shard", s.name)
+	start := time.Now()
+	ok := acquire(ctx)
+	s.mLockWait.ObserveTrace(time.Since(start).Seconds(), sc.Trace)
+	if !ok {
+		sp.Attr("outcome", "deadline")
+	}
+	sp.End()
+	return ok
+}
+
 // stateErr maps a non-serving state to its transient error (nil while
 // serving).
 func (s *Shard) stateErr() error {
@@ -535,7 +570,7 @@ func (s *Shard) stateErr() error {
 // ctx ends first (a stage shutdown racing a wedged correlator) — the
 // caller re-queues the event so the drain fold still sees it.
 func (s *Shard) feedCtx(ctx context.Context, ev trace.Event) bool {
-	if !s.lockCtx(ctx) {
+	if !s.lockMut(ctx) {
 		return false
 	}
 	defer s.unlock()
@@ -674,34 +709,57 @@ func (s *Shard) IngestLines(ctx context.Context, lines []string) (int, error) {
 	return n, nil
 }
 
-// serveStale answers from the last-good cache; ErrNoPlan without one.
+// pub returns the endpoint's store of published bodies.
+func (s *Shard) pub(hoard bool) *atomic.Pointer[published] {
+	if hoard {
+		return &s.hoardPub
+	}
+	return &s.planPub
+}
+
+// current returns the endpoint's published body while it still
+// answers fresh: rendered at the current generation and, for /hoard,
+// at the current budget. nil means the next reader must render.
+func (s *Shard) current(hoard bool) *published {
+	p := s.pub(hoard).Load()
+	if p == nil || p.gen != s.gen.Load() || (hoard && p.budget != s.budget.Load()) {
+		return nil
+	}
+	return p
+}
+
+// serveStale answers with the endpoint's last published body, whatever
+// its generation; ErrNoPlan without one.
 func (s *Shard) serveStale(hoard bool) ([]byte, bool, error) {
-	body, _ := s.plans.get(hoard)
-	if body == nil {
+	p := s.pub(hoard).Load()
+	if p == nil {
 		return nil, false, ErrNoPlan
 	}
 	s.staleSrv.Add(1)
 	s.mStale.Inc()
-	return body, true, nil
+	return p.body, true, nil
 }
 
-// Plan renders the full inclusion order. A draining shard serves its
-// stale cache (reads keep answering through a drain); a wedged or
-// deadline-bound clustering falls back to the cache too. The stale
-// return reports whether the body came from the cache.
+// Plan returns the full inclusion order. A draining shard serves its
+// last published plan (reads keep answering through a drain); a wedged
+// or deadline-bound clustering falls back to it too. The stale return
+// reports whether the body is that fallback. The body is shared by
+// every reader of its generation: callers must not modify it.
 func (s *Shard) Plan(ctx context.Context) (body []byte, stale bool, err error) {
 	return s.read(ctx, false)
 }
 
-// Hoard renders the chosen files at the shard's budget with the same
-// stale-fallback discipline as Plan; a fresh answer also pre-fetches the
-// hoard's head from the rumor master.
+// Hoard returns the chosen files at the shard's budget with the same
+// stale-fallback discipline and sharing as Plan; a fresh answer also
+// pre-fetches the hoard's head from the rumor master.
 func (s *Shard) Hoard(ctx context.Context) (body []byte, stale bool, err error) {
 	return s.read(ctx, true)
 }
 
-// read is Plan (hoard=false) or Hoard (hoard=true). Every stale or
-// failed build counts toward the plan probe; a fresh one resets it.
+// read is Plan (hoard=false) or Hoard (hoard=true). A body published at
+// the current generation answers without the correlator lock; otherwise
+// read renders under the lock and publishes. Every stale or failed
+// build counts toward the plan probe; every fresh answer resets it.
 func (s *Shard) read(ctx context.Context, hoard bool) ([]byte, bool, error) {
 	switch s.State() {
 	case Opening:
@@ -717,20 +775,12 @@ func (s *Shard) read(ctx context.Context, hoard bool) ([]byte, bool, error) {
 	}
 	sp := s.reqSpan(ctx, stage)
 	defer sp.End()
-	var (
-		buf bytes.Buffer
-		ids []simfs.FileID
-		err = ErrNoPlan
-	)
-	if s.lockCtx(ctx) {
-		if hoard {
-			ids, err = s.renderHoard(ctx, &buf)
-		} else {
-			err = s.renderPlan(ctx, &buf, sp)
-		}
-		s.unlock()
+	ctx = obs.ContextWithSpan(ctx, sp.Context())
+	p := s.current(hoard)
+	if p == nil {
+		p = s.render(ctx, hoard, sp)
 	}
-	if err != nil {
+	if p == nil {
 		sp.Attr("outcome", "stale")
 		s.planFails.Add(1)
 		return s.serveStale(hoard)
@@ -738,11 +788,41 @@ func (s *Shard) read(ctx context.Context, hoard bool) ([]byte, bool, error) {
 	sp.Attr("outcome", "fresh")
 	s.planFails.Store(0)
 	s.planOKAt.Store(time.Now().UnixNano())
-	s.plans.set(hoard, buf.Bytes())
 	if hoard {
-		s.hoardFill(ctx, sp, ids)
+		s.hoardFill(ctx, sp, p.ids)
 	}
-	return buf.Bytes(), false, nil
+	return p.body, false, nil
+}
+
+// render builds the endpoint's body under the correlator lock and
+// publishes it, unless a reader ahead of it in the lock already
+// published this generation's, so concurrent readers of a new
+// generation render once. nil means the lock wait or the build missed
+// ctx's deadline.
+func (s *Shard) render(ctx context.Context, hoard bool, sp *obs.ActiveSpan) *published {
+	if !s.lockWait(ctx, s.lockCtx) {
+		return nil
+	}
+	defer s.unlock()
+	if p := s.current(hoard); p != nil {
+		return p
+	}
+	p := &published{gen: s.gen.Load(), budget: s.budget.Load()}
+	var (
+		buf bytes.Buffer
+		err error
+	)
+	if hoard {
+		p.ids, err = s.renderHoard(ctx, &buf, p.budget)
+	} else {
+		err = s.renderPlan(ctx, &buf, sp)
+	}
+	if err != nil {
+		return nil
+	}
+	p.body = buf.Bytes()
+	s.pub(hoard).Store(p)
+	return p
 }
 
 // renderPlan writes the inclusion order (caller holds the lock).
@@ -766,9 +846,9 @@ func (s *Shard) renderPlan(ctx context.Context, w *bytes.Buffer, sp *obs.ActiveS
 const hoardFillMax = 64
 
 // hoardFill pre-fetches a fresh hoard's head from the rumor master (one
-// batched /fetch round trip, traced as a child of the request span).
-// Failures are recorded on the span and otherwise ignored: the hoard
-// listing already went to the client.
+// batched /fetch round trip, traced as a child of the request span ctx
+// carries and bounded by its deadline). Failures are recorded on the
+// span and otherwise ignored: the hoard listing is already decided.
 func (s *Shard) hoardFill(ctx context.Context, sp *obs.ActiveSpan, ids []simfs.FileID) {
 	if s.cfg.Rumor == nil || len(ids) == 0 {
 		return
@@ -776,8 +856,7 @@ func (s *Shard) hoardFill(ctx context.Context, sp *obs.ActiveSpan, ids []simfs.F
 	if len(ids) > hoardFillMax {
 		ids = ids[:hoardFillMax]
 	}
-	fctx := obs.ContextWithSpan(ctx, sp.Context())
-	failed, err := s.cfg.Rumor.SyncBatchCtx(fctx, ids, nil)
+	failed, err := s.cfg.Rumor.SyncBatchCtx(ctx, ids, nil)
 	switch {
 	case err != nil:
 		sp.Attr("rumor", "error")
@@ -798,17 +877,17 @@ func (s *Shard) reqSpan(ctx context.Context, stage string) *obs.ActiveSpan {
 	return s.tracer.StartSpan(obs.TraceID(s.lastTrace.Load()), stage).Attr("shard", s.name)
 }
 
-// renderHoard writes the hoard listing and returns the chosen file ids
-// (caller holds the lock). It also refreshes the shard's hoard gauges,
-// including the paper-§5 miss-free size: the hoard that would have
-// served every currently observed reference.
-func (s *Shard) renderHoard(ctx context.Context, w io.Writer) ([]simfs.FileID, error) {
+// renderHoard writes the hoard listing at budget and returns the chosen
+// file ids (caller holds the lock). It also refreshes the shard's hoard
+// gauges, including the paper-§5 miss-free size: the hoard that would
+// have served every currently observed reference.
+func (s *Shard) renderHoard(ctx context.Context, w io.Writer, budget int64) ([]simfs.FileID, error) {
 	s.mPlans.Inc()
 	plan, err := s.corr.PlanContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	contents := plan.Fill(s.budget.Load(), s.corr.Params().SkipUnfittingClusters)
+	contents := plan.Fill(budget, s.corr.Params().SkipUnfittingClusters)
 	refs := s.corr.Observer().LastRefs()
 	referenced := make([]simfs.FileID, 0, len(refs))
 	for id := range refs {
@@ -876,7 +955,7 @@ func (s *Shard) Miss(ctx context.Context, path string) ([]string, error) {
 	if err := s.stateErr(); err != nil {
 		return nil, err
 	}
-	if !s.lockCtx(ctx) {
+	if !s.lockWait(ctx, s.lockMut) {
 		return nil, context.DeadlineExceeded
 	}
 	s.mMisses.Inc()
@@ -931,7 +1010,7 @@ func (s *Shard) ApplyRuntime(rt config.Runtime) bool {
 	// while holding the lock is authoritative.
 	ctx, cancel := context.WithTimeout(context.Background(), paramApplyTimeout)
 	defer cancel()
-	if s.lockCtx(ctx) {
+	if s.lockMut(ctx) {
 		if s.State() == Serving {
 			s.corr.SetParams(rt.Params)
 			s.cfg.Params = rt.Params
@@ -981,7 +1060,7 @@ func (s *Shard) Drain(ctx context.Context) error {
 		if !ok {
 			break
 		}
-		if !s.lockCtx(ctx) {
+		if !s.lockMut(ctx) {
 			lost = 1 + s.queue.Len()
 			break
 		}
