@@ -17,7 +17,7 @@ BENCH_TIME ?= 5x
 BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkFeedEvent$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$
 BENCH_SIM = BenchmarkFigure3$$|BenchmarkTable3$$|BenchmarkWorkloadGenerate$$|BenchmarkSemanticDistance$$
 
-.PHONY: check vet build test test-race fuzz fuzz-strace chaos flake-check shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint bench bench-check load-smoke load-bench benchmark-test
+.PHONY: check vet build test test-race fuzz fuzz-strace chaos flake-check shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint unlinked-check bench bench-check load-smoke load-bench benchmark-test
 
 check: vet build test-race
 
@@ -95,10 +95,19 @@ trace-smoke:
 	sh scripts/trace_smoke.sh
 
 # Metrics-catalogue lint: every metric family registered in the source
-# must be documented in DESIGN.md's catalogue (§12/§17), so the
-# catalogue cannot silently rot as instruments are added.
+# must have a row in DESIGN.md §12's catalogue table whose Type column
+# matches how the source registers it, so the catalogue cannot silently
+# rot as instruments are added or change kind.
 metrics-lint:
 	sh scripts/metrics_lint.sh
+
+# Dead-code gate: build every cmd, example and benchmark/seerbench with
+# inlining off, list the functions none of them links, and fail when
+# that listing differs from scripts/unlinked.keep: a newly unlinked
+# function must be deleted or kept under a stated reason, and a keep
+# entry that is linked again or gone must be pruned.
+unlinked-check:
+	$(GO) run scripts/unlinked.go -keep scripts/unlinked.keep
 
 # Shard-isolation chaos gate: 8 shards behind the gateway under
 # concurrent /plan + /events load while one shard at a time takes a

@@ -86,7 +86,7 @@ func New(name string, reg *obs.Registry, pressure func() int) *Limiter {
 			"Requests admitted by admission control.", "endpoint").With(name)
 		l.shed = reg.CounterVec("seer_admit_shed_total",
 			"Requests shed (429) by admission control.", "endpoint").With(name)
-		reg.CounterFuncVec("seer_admit_inflight",
+		reg.GaugeFuncVec("seer_admit_inflight",
 			"Requests currently in flight (sampled at scrape time).", "endpoint").
 			Register(func() float64 { return float64(l.InFlight()) }, name)
 	}

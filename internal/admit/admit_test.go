@@ -96,6 +96,7 @@ func TestInFlightLimitSheds(t *testing.T) {
 		`seer_admit_admitted_total{endpoint="plan"} 2`,
 		`seer_admit_shed_total{endpoint="plan"} 6`,
 		`seer_admit_inflight{endpoint="plan"} 0`,
+		`# TYPE seer_admit_inflight gauge`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, buf.String())

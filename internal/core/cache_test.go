@@ -55,7 +55,6 @@ func TestClusterCacheInvalidation(t *testing.T) {
 				{Files: []string{"/home/u/alpha/f00", "/home/u/alpha/f01"}, Strength: 1},
 			})
 		}},
-		{"ClearRelations", func(d *driver) { d.c.ClearRelations() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +83,6 @@ func TestClusterCachePlanOnlyMutations(t *testing.T) {
 		mutate func(d *driver)
 	}{
 		{"ForceHoard", func(d *driver) { d.c.ForceHoard("/home/u/missed") }},
-		{"ClearForced", func(d *driver) { d.c.ClearForced() }},
 		{"ListPreservingFeed", func(d *driver) { d.ev(trace.OpOpen, 9, "/home/u/alpha/f00") }},
 	}
 	for _, tc := range cases {

@@ -35,7 +35,6 @@ import (
 // it a trace in order.
 type Correlator struct {
 	p   config.Params
-	ctl *config.Control
 	fs  *simfs.FS
 	obs *observer.Observer
 	tbl *semdist.Table
@@ -132,7 +131,6 @@ func New(opts Options) *Correlator {
 	}
 	c := &Correlator{
 		p:      p,
-		ctl:    ctl,
 		fs:     fs,
 		obs:    observer.New(p, ctl, fs, opts.DirSize),
 		tbl:    semdist.NewTable(p, stats.NewRand(opts.Seed+1)),
@@ -142,9 +140,9 @@ func New(opts Options) *Correlator {
 	c.mEvents = reg.Counter("seer_events_ingested_total",
 		"Trace events fed to the correlator.")
 	c.mCacheHits = reg.Counter("seer_cluster_cache_hits_total",
-		"Clusterings served from the dirty-counter cache.")
+		"Clusterings served unchanged from the cluster cache.")
 	c.mCacheMiss = reg.Counter("seer_cluster_cache_misses_total",
-		"Clusterings that had to re-run the algorithm.")
+		"Clusterings that had to patch or rebuild the cached result.")
 	// Clustering phases routinely finish in tens of microseconds on
 	// small reference sets, so the default buckets would dump most
 	// observations into the first one or two. clusterBuckets starts at
@@ -290,12 +288,6 @@ func (c *Correlator) AddRelations(rels []investigate.Relation) {
 		investigate.Pairs(rels, resolve, c.p.InvestigatorWeight)...)
 }
 
-// ClearRelations drops all registered investigator relations.
-func (c *Correlator) ClearRelations() {
-	c.fullDirty = true
-	c.extraPairs = nil
-}
-
 // ForceHoard marks a file for unconditional inclusion in future hoard
 // plans. This is the back half of the paper's miss-recording mechanism
 // (§4.4): "the same user action both records the miss and arranges for
@@ -339,12 +331,6 @@ func (c *Correlator) ForcedFiles() []simfs.FileID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ClearForced empties the forced hoard set (typically after the next
-// successful hoard fill has serviced the recorded misses).
-func (c *Correlator) ClearForced() {
-	c.forced = make(map[simfs.FileID]bool)
 }
 
 // filteredSource exposes the semantic-distance table to the clustering
@@ -539,16 +525,6 @@ func (c *Correlator) PlanContext(ctx context.Context) (*hoard.Plan, error) {
 		return nil, err
 	}
 	return c.planFrom(res), nil
-}
-
-// FillContext is Fill with cancellation, for deadline-bound hoard
-// requests.
-func (c *Correlator) FillContext(ctx context.Context, budget int64) (*hoard.Contents, error) {
-	p, err := c.PlanContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return p.Fill(budget, c.p.SkipUnfittingClusters), nil
 }
 
 // PlanFrom builds a plan from a previously computed cluster result,

@@ -247,11 +247,6 @@ func TestInvestigatorForcesCluster(t *testing.T) {
 	if !sameCluster(after, aID, bID) {
 		t.Error("investigator relation did not force clustering")
 	}
-	d.c.ClearRelations()
-	cleared := d.c.Clusters()
-	if sameCluster(cleared, aID, bID) {
-		t.Error("ClearRelations did not drop the forced relation")
-	}
 }
 
 func TestAddRelationsInternsUnknownPaths(t *testing.T) {
@@ -361,10 +356,6 @@ func TestForceHoardAfterMiss(t *testing.T) {
 	}
 	if got := d.c.ForcedFiles(); len(got) < 5 {
 		t.Errorf("forced set = %d files", len(got))
-	}
-	d.c.ClearForced()
-	if len(d.c.ForcedFiles()) != 0 {
-		t.Error("ClearForced left state")
 	}
 }
 

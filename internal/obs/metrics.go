@@ -29,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing uint64 instrument, safe for
@@ -105,7 +104,6 @@ var DefBuckets = []float64{
 type exemplar struct {
 	trace TraceID
 	value float64
-	at    time.Time
 }
 
 // Histogram is a fixed-bucket histogram with atomic counters: Observe
@@ -170,18 +168,13 @@ func (h *Histogram) ObserveTrace(v float64, id TraceID) {
 	if id == 0 {
 		return
 	}
-	prev := h.exemplars[i].Swap(&exemplar{trace: id, value: v, at: time.Now()})
+	prev := h.exemplars[i].Swap(&exemplar{trace: id, value: v})
 	if tr := h.tracer.Load(); tr != nil {
 		tr.Pin(id)
 		if prev != nil {
 			tr.Unpin(prev.trace)
 		}
 	}
-}
-
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(time.Since(start).Seconds())
 }
 
 // RetainExemplars ties the histogram's exemplars to t: every trace
@@ -192,21 +185,6 @@ func (h *Histogram) RetainExemplars(t *Tracer) {
 	if h != nil {
 		h.tracer.Store(t)
 	}
-}
-
-// Exemplars returns the per-bucket exemplar trace ids (zero where no
-// traced observation has landed); index len(bounds) is +Inf.
-func (h *Histogram) Exemplars() []TraceID {
-	if h == nil {
-		return nil
-	}
-	out := make([]TraceID, len(h.exemplars))
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out[i] = e.trace
-		}
-	}
-	return out
 }
 
 // CountUnder returns the number of observations at or below bound,
@@ -398,14 +376,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DefBuckets
 	}
 	return r.lookup(name, help, "histogram", false, buckets, nil).get(nil).hist
-}
-
-// CounterFunc registers a counter whose value is computed at scrape
-// time — the bridge for counters that already live elsewhere (queue
-// drops, supervisor restarts). Re-registration replaces the function,
-// so a restarted daemon instance does not serve a stale closure.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.lookup(name, help, "counter", true, nil, nil).get(nil).fn.Store(&fn)
 }
 
 // GaugeFunc registers a gauge computed at scrape time (queue depth,

@@ -59,25 +59,6 @@ func stripExemplar(line string) string {
 	return line
 }
 
-// ExemplarTraceID extracts the exemplar trace id from a raw exposition
-// line, if it carries one.
-func ExemplarTraceID(line string) (TraceID, bool) {
-	i := strings.Index(line, `# {trace_id="`)
-	if i < 0 {
-		return 0, false
-	}
-	rest := line[i+len(`# {trace_id="`):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return 0, false
-	}
-	id, err := ParseTraceID(rest[:j])
-	if err != nil {
-		return 0, false
-	}
-	return id, true
-}
-
 // parseSample parses one sample line into name, canonical label string,
 // and value.
 func parseSample(line string) (Sample, error) {

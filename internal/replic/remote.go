@@ -453,18 +453,6 @@ func (r *RemoteRumor) LocalCount() int {
 	return len(r.local)
 }
 
-// LocalIDs returns the sorted ids of locally stored files.
-func (r *RemoteRumor) LocalIDs() []simfs.FileID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]simfs.FileID, 0, len(r.local))
-	for id := range r.local {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // Totals returns the cumulative reconciliation outcomes, including
 // connected write-through pushes.
 func (r *RemoteRumor) Totals() ReconcileReport {

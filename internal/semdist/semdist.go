@@ -56,11 +56,6 @@ func (nb *Neighbor) Count() int64 { return nb.count }
 type entry struct {
 	id        simfs.FileID
 	neighbors []Neighbor
-	// listEpoch is the table's change epoch at the last membership change
-	// of this list (an id added, replaced, or removed). Sample updates to
-	// an existing neighbor (sumLog/count/lastUpdate) do not advance it:
-	// clustering only reads list membership.
-	listEpoch uint64
 }
 
 // findNeighbor returns the position of id on the list, or -1.
@@ -98,9 +93,6 @@ type Table struct {
 	// deleteQueue orders marked files for eventual forgetting.
 	deleteQueue []simfs.FileID
 
-	// epoch is the global change epoch: it advances on every neighbor-list
-	// membership change and stamps the affected entry's listEpoch.
-	epoch uint64
 	// pending journals the files whose list membership (or existence)
 	// changed since the last TakeChanged drain — exactly the set an
 	// incremental clustering must re-score. pendingSeen dedups it.
@@ -125,32 +117,14 @@ func NewTable(p config.Params, rng *stats.Rand) *Table {
 	}
 }
 
-// touch advances the change epoch, stamps e (when non-nil), and journals
-// id for the next TakeChanged drain.
-func (t *Table) touch(id simfs.FileID, e *entry) {
-	t.epoch++
-	if e != nil {
-		e.listEpoch = t.epoch
-	}
+// touch journals id for the next TakeChanged drain: its neighbor-list
+// membership (or its existence) changed. Sample updates to an existing
+// neighbor do not call it: clustering only reads list membership.
+func (t *Table) touch(id simfs.FileID) {
 	if !t.pendingSeen[id] {
 		t.pendingSeen[id] = true
 		t.pending = append(t.pending, id)
 	}
-}
-
-// Epoch returns the global change epoch: it advances once per
-// neighbor-list membership change.
-func (t *Table) Epoch() uint64 { return t.epoch }
-
-// ListEpoch returns the change epoch stamped on id's neighbor list at
-// its last membership change (0 for unknown files and lists that never
-// changed).
-func (t *Table) ListEpoch(id simfs.FileID) uint64 {
-	e := t.entryOf(id)
-	if e == nil {
-		return 0
-	}
-	return e.listEpoch
 }
 
 // Has reports whether the table holds relationship state for id (i.e.
@@ -203,7 +177,7 @@ func (t *Table) addEntry(id simfs.FileID) int32 {
 	t.entries = append(t.entries, entry{id: id})
 	t.idx[id] = i
 	t.filesCache = nil
-	t.touch(id, &t.entries[i])
+	t.touch(id)
 	return i
 }
 
@@ -247,7 +221,7 @@ func (t *Table) insert(e *entry, to simfs.FileID, d float64) {
 			e.neighbors = make([]Neighbor, 0, t.p.NeighborTableSize)
 		}
 		e.neighbors = append(e.neighbors, nb)
-		t.touch(e.id, e)
+		t.touch(e.id)
 		return
 	}
 	victim := t.chooseVictim(e, d)
@@ -255,7 +229,7 @@ func (t *Table) insert(e *entry, to simfs.FileID, d float64) {
 		return // no candidate: drop the new observation
 	}
 	e.neighbors[victim] = nb
-	t.touch(e.id, e)
+	t.touch(e.id)
 }
 
 // chooseVictim implements the replacement priority of §3.1.3:
@@ -429,7 +403,7 @@ func (t *Table) forget(id simfs.FileID) {
 		t.filesCache = nil
 	}
 	t.forgotten[id] = true
-	t.touch(id, nil)
+	t.touch(id)
 }
 
 // Forgotten reports whether the file has been fully removed.

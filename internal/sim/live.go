@@ -365,33 +365,3 @@ func (r *LiveResult) Table5() []Table5Row {
 	}
 	return rows
 }
-
-// MergeSpans applies the paper's §5.1.1 post-processing to raw
-// connectivity spans: disconnections shorter than minDur are dropped,
-// and reconnections shorter than minGap are elided by merging the
-// adjacent disconnections.
-func MergeSpans(spans []workload.Span, minDur, minGap time.Duration) []workload.Span {
-	if len(spans) == 0 {
-		return nil
-	}
-	var merged []workload.Span
-	cur := spans[0]
-	for _, s := range spans[1:] {
-		if s.Start.Sub(cur.End) < minGap {
-			if s.End.After(cur.End) {
-				cur.End = s.End
-			}
-			continue
-		}
-		merged = append(merged, cur)
-		cur = s
-	}
-	merged = append(merged, cur)
-	out := merged[:0]
-	for _, s := range merged {
-		if s.Duration() >= minDur {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -215,32 +215,6 @@ func TestLiveBudgetMonotonicity(t *testing.T) {
 	}
 }
 
-func TestMergeSpans(t *testing.T) {
-	t0 := time.Unix(0, 0)
-	span := func(startMin, endMin int) workload.Span {
-		return workload.Span{
-			Start: t0.Add(time.Duration(startMin) * time.Minute),
-			End:   t0.Add(time.Duration(endMin) * time.Minute),
-		}
-	}
-	spans := []workload.Span{
-		span(0, 60),    // kept
-		span(70, 130),  // 10-min gap: merged into previous
-		span(300, 310), // 10 min long: dropped
-		span(400, 460), // kept
-	}
-	got := MergeSpans(spans, 15*time.Minute, 15*time.Minute)
-	if len(got) != 2 {
-		t.Fatalf("merged = %d spans: %v", len(got), got)
-	}
-	if got[0].Duration() != 130*time.Minute {
-		t.Errorf("merged span duration = %v, want 130m", got[0].Duration())
-	}
-	if MergeSpans(nil, time.Minute, time.Minute) != nil {
-		t.Error("nil spans should merge to nil")
-	}
-}
-
 func TestDefaultParamsValid(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("DefaultParams invalid: %v", err)

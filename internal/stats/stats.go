@@ -1,14 +1,12 @@
 // Package stats provides the small statistical toolkit the SEER
 // evaluation harness uses: descriptive summaries (mean, median, standard
-// deviation), geometric means for the semantic-distance data reduction
-// (paper §3.1.2), 99% confidence intervals for the Figure 2 error bars,
+// deviation), 99% confidence intervals for the Figure 2 error bars,
 // and the random samplers (geometric file sizes with p = 0.00007,
 // Zipf-like project popularity, log-normal durations) used by the
 // workload generator and simulator.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -94,24 +92,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// GeometricMean returns the geometric mean of xs computed in log space.
-// All inputs must be positive; non-positive values are an error because
-// the caller (the semantic-distance reducer) shifts distances by +1
-// before calling.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geometric mean of empty slice")
-	}
-	var sum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean of non-positive value %g", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
 // z99 is the two-sided 99% standard-normal critical value, the limit of
 // the t distribution as the sample size grows.
 const z99 = 2.5758293035489004
@@ -176,26 +156,4 @@ func CI99(xs []float64) float64 {
 	}
 	s := Summarize(xs)
 	return tCrit99(n) * s.Stddev / math.Sqrt(float64(n))
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first/last bin. It is used by
-// trace-analysis tooling to report file-size distributions.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

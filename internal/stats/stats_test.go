@@ -57,40 +57,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	g, err := GeometricMean([]float64{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "gm", g, math.Sqrt(8), 1e-12)
-	if _, err := GeometricMean(nil); err == nil {
-		t.Error("empty geometric mean should error")
-	}
-	if _, err := GeometricMean([]float64{1, 0}); err == nil {
-		t.Error("zero value should error")
-	}
-}
-
-// The paper's §3.1.2 motivating example: distances (1,1,1498) should
-// reduce to something far smaller than (500,500,500) even though the
-// arithmetic means are equal.
-func TestGeometricMeanFavorsSmallValues(t *testing.T) {
-	close3, err := GeometricMean([]float64{1, 1, 1498})
-	if err != nil {
-		t.Fatal(err)
-	}
-	far3, err := GeometricMean([]float64{500, 500, 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if close3 >= far3/10 {
-		t.Errorf("gm(1,1,1498) = %g not ≪ gm(500,500,500) = %g", close3, far3)
-	}
-	if a := Mean([]float64{1, 1, 1498}); math.Abs(a-500) > 1e-9 {
-		t.Errorf("arithmetic mean = %g, want 500", a)
-	}
-}
-
 func TestCI99(t *testing.T) {
 	if CI99([]float64{1}) != 0 {
 		t.Error("CI99 of one sample should be 0")
@@ -122,16 +88,6 @@ func TestCI99(t *testing.T) {
 	}
 	if tCrit99(1) != 0 {
 		t.Error("tCrit99(1) should be 0 (undefined)")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{-5, 0, 1, 5, 9, 15}, 0, 10, 2)
-	if h[0] != 3 || h[1] != 3 {
-		t.Errorf("histogram = %v, want [3 3]", h)
-	}
-	if Histogram(nil, 0, 0, 2) != nil || Histogram(nil, 0, 1, 0) != nil {
-		t.Error("degenerate histograms should be nil")
 	}
 }
 
