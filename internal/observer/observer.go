@@ -22,6 +22,7 @@
 package observer
 
 import (
+	"path"
 	"strings"
 
 	"github.com/fmg/seer/internal/config"
@@ -638,23 +639,14 @@ func (o *Observer) absolutize(p *proc.Process, path string) string {
 	return Clean(path)
 }
 
-// Clean normalizes an absolute path: collapses repeated slashes and
-// resolves "." and ".." components.
-func Clean(path string) string {
-	parts := strings.Split(path, "/")
-	out := make([]string, 0, len(parts))
-	for _, part := range parts {
-		switch part {
-		case "", ".":
-		case "..":
-			if len(out) > 0 {
-				out = out[:len(out)-1]
-			}
-		default:
-			out = append(out, part)
-		}
+// Clean normalizes a path to absolute form: collapses repeated slashes
+// and resolves "." and ".." components ("/.." is "/"). An already clean
+// path comes back unchanged, without allocating.
+func Clean(p string) string {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
 	}
-	return "/" + strings.Join(out, "/")
+	return path.Clean(p)
 }
 
 func basename(path string) string {

@@ -6,6 +6,7 @@ import (
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/simfs"
 	"github.com/fmg/seer/internal/stats"
+	"github.com/fmg/seer/internal/strace"
 	"github.com/fmg/seer/internal/trace"
 )
 
@@ -559,5 +560,50 @@ func TestAbsolutizeEdgeCases(t *testing.T) {
 	refs = h.open(2, "rootfile")
 	if len(refs) != 1 || refs[0].File.Path != "/rootfile" {
 		t.Errorf("root-cwd relative = %+v", refs)
+	}
+}
+
+func TestKilledChildMergesIntoParent(t *testing.T) {
+	// strace's `+++ killed by SIG… +++` ends a process just as `+++
+	// exited` does: the child leaves the process table and its history
+	// merges into the parent's (§4.7), so the parent's next open relates
+	// to what the child opened.
+	for _, end := range []string{"exited with 0", "killed by SIGKILL"} {
+		h := newHarness(nil, nil)
+		p := strace.NewParser()
+		feed := func(line string) []Reference {
+			ev, ok := p.ParseLine(line)
+			if !ok {
+				return nil
+			}
+			return h.o.Observe(ev)
+		}
+		for _, l := range []string{
+			`100 openat(AT_FDCWD, "/home/u/Makefile", O_RDONLY) = 3`,
+			`100 close(3) = 0`,
+			`100 clone(child_stack=NULL, flags=SIGCHLD) = 101`,
+			`101 execve("/usr/bin/cc", ["cc"], 0x7ffe /* 30 vars */) = 0`,
+			`101 openat(AT_FDCWD, "/home/u/main.c", O_RDONLY) = 3`,
+			"101 +++ " + end + " +++",
+		} {
+			feed(l)
+		}
+		if n := h.o.Procs().Len(); n != 1 {
+			t.Errorf("%s: %d live processes, want 1", end, n)
+		}
+		if h.o.Procs().Lookup(101) != nil {
+			t.Errorf("%s: child still live", end)
+		}
+		refs := feed(`100 openat(AT_FDCWD, "/home/u/main.o", O_RDONLY) = 4`)
+		mainC := h.fs.Lookup("/home/u/main.c").ID
+		merged := false
+		for _, r := range refs {
+			for _, pr := range r.Pairs {
+				merged = merged || pr.From == mainC
+			}
+		}
+		if !merged {
+			t.Errorf("%s: child's main.c not in the parent's history: %+v", end, refs)
+		}
 	}
 }

@@ -177,13 +177,12 @@ func (s *Stream) prune(now uint64) {
 
 func (s *Stream) collectPairs(f simfs.FileID, seq uint64) []RefPair {
 	var pairs []RefPair
-	seen := make(map[simfs.FileID]bool, len(s.openFiles)+8)
-	seen[f] = true
 	// Definition 3 only: every currently open file relates at distance
 	// 0 no matter how long ago its open was. Iterate in id order — map
 	// order would randomize neighbor-table insertion order and with it
 	// the whole downstream clustering.
-	if s.mode == Lifetime && len(s.openFiles) > 0 {
+	pairedOpen := s.mode == Lifetime && len(s.openFiles) > 0
+	if pairedOpen {
 		ids := make([]simfs.FileID, 0, len(s.openFiles))
 		for of, n := range s.openFiles {
 			if n > 0 && of != f {
@@ -193,14 +192,16 @@ func (s *Stream) collectPairs(f simfs.FileID, seq uint64) []RefPair {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, of := range ids {
 			pairs = append(pairs, RefPair{From: of, Dist: 0})
-			seen[of] = true
 		}
 	}
 	window := uint64(s.window)
 	horizon := uint64(compensationFactor * s.window)
+	// The recency list holds each file once (record dedups through
+	// nodes), so the only files to skip are f itself and, under
+	// Definition 3, the open files already paired at distance 0.
 	for el := s.recency.Front(); el != nil; el = el.Next() {
 		ref := el.Value.(*distinctRef)
-		if seen[ref.file] {
+		if ref.file == f || pairedOpen && s.openFiles[ref.file] > 0 {
 			continue
 		}
 		delta := seq - ref.seq
@@ -216,7 +217,6 @@ func (s *Stream) collectPairs(f simfs.FileID, seq uint64) []RefPair {
 				return pairs
 			}
 		}
-		seen[ref.file] = true
 	}
 	return pairs
 }

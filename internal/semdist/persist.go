@@ -2,6 +2,7 @@ package semdist
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/simfs"
@@ -23,7 +24,7 @@ func (t *Table) Save(w *wire.Writer) {
 			nb := &e.neighbors[i]
 			w.U64(uint64(nb.ID))
 			w.F64(nb.sumLog)
-			w.I64(nb.count)
+			w.I64(int64(nb.count))
 			w.U64(nb.lastUpdate)
 		}
 	}
@@ -60,12 +61,13 @@ func LoadTable(r *wire.Reader, p config.Params, rng *stats.Rand) (*Table, error)
 		ei := t.addEntry(id)
 		neighbors := make([]Neighbor, 0, nn)
 		for j := 0; j < nn && r.Err() == nil; j++ {
-			neighbors = append(neighbors, Neighbor{
-				ID:         simfs.FileID(r.U64()),
-				sumLog:     r.F64(),
-				count:      r.I64(),
-				lastUpdate: r.U64(),
-			})
+			id, sumLog, count := simfs.FileID(r.U64()), r.F64(), r.I64()
+			if count < 0 || count > math.MaxInt32 {
+				return nil, fmt.Errorf("semdist: implausible sample count %d", count)
+			}
+			nb := Neighbor{ID: id, count: int32(count), sumLog: sumLog, lastUpdate: r.U64()}
+			nb.reduce()
+			neighbors = append(neighbors, nb)
 		}
 		t.entries[ei].neighbors = neighbors
 	}

@@ -29,11 +29,17 @@ import (
 // Neighbor is one entry of a file's closest-neighbor list.
 type Neighbor struct {
 	ID simfs.FileID
+	// count is the number of samples, held as an int32 beside the
+	// 32-bit ID so the entry stays 32 bytes; it saturates at MaxInt32.
+	count int32
 	// sumLog accumulates log(1+d) over samples; the geometric-mean
 	// distance is exp(sumLog/count) − 1, so distance-0 samples are
 	// representable and pull the mean strongly toward zero.
 	sumLog float64
-	count  int64
+	// dist caches exp(sumLog/count) − 1. Every change to sumLog or count
+	// is followed by reduce, so Distance — read once per incumbent on
+	// every replacement scan — is a pure load rather than an exp.
+	dist float64
 	// lastUpdate is the global open counter at the last sample; entries
 	// that have not been refreshed within AgeLimit opens may be replaced
 	// by newer relationships.
@@ -45,11 +51,17 @@ func (nb *Neighbor) Distance() float64 {
 	if nb.count == 0 {
 		return math.Inf(1)
 	}
-	return math.Exp(nb.sumLog/float64(nb.count)) - 1
+	return nb.dist
+}
+
+// reduce recomputes the cached geometric-mean distance from sumLog and
+// count.
+func (nb *Neighbor) reduce() {
+	nb.dist = math.Exp(nb.sumLog/float64(nb.count)) - 1
 }
 
 // Count returns the number of samples reduced into this entry.
-func (nb *Neighbor) Count() int64 { return nb.count }
+func (nb *Neighbor) Count() int64 { return int64(nb.count) }
 
 // entry is the per-file state: its neighbor list. Membership tests are
 // linear scans — the list is capped at NeighborTableSize.
@@ -199,8 +211,12 @@ func (t *Table) Observe(from, to simfs.FileID, d float64, clamped bool) {
 	t.cleanForgotten(e)
 	if i := e.findNeighbor(to); i >= 0 {
 		nb := &e.neighbors[i]
-		nb.sumLog += math.Log1p(d)
-		nb.count++
+		// A saturated entry keeps its mean and only refreshes its age.
+		if nb.count < math.MaxInt32 {
+			nb.sumLog += math.Log1p(d)
+			nb.count++
+			nb.reduce()
+		}
 		nb.lastUpdate = t.opens
 		return
 	}
@@ -214,6 +230,7 @@ func (t *Table) Observe(from, to simfs.FileID, d float64, clamped bool) {
 // priority when the list is full.
 func (t *Table) insert(e *entry, to simfs.FileID, d float64) {
 	nb := Neighbor{ID: to, sumLog: math.Log1p(d), count: 1, lastUpdate: t.opens}
+	nb.reduce()
 	if len(e.neighbors) < t.p.NeighborTableSize {
 		if e.neighbors == nil {
 			// The list will grow to the cap and stay there; size it once

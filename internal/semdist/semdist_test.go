@@ -1,13 +1,16 @@
 package semdist
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/simfs"
 	"github.com/fmg/seer/internal/stats"
+	"github.com/fmg/seer/internal/wire"
 )
 
 func newTable(mutate func(*config.Params)) *Table {
@@ -301,5 +304,140 @@ func TestZeroNeighborDistance(t *testing.T) {
 	var nb Neighbor
 	if !math.IsInf(nb.Distance(), 1) {
 		t.Errorf("zero Neighbor distance = %g, want +Inf", nb.Distance())
+	}
+}
+
+// checkCachedDistances fails unless every neighbor's cached distance is
+// bit for bit the geometric mean recomputed from its samples.
+func checkCachedDistances(t *testing.T, tb *Table, when string) {
+	t.Helper()
+	for _, f := range tb.Files() {
+		for _, nb := range tb.entryOf(f).neighbors {
+			want := math.Exp(nb.sumLog/float64(nb.count)) - 1
+			if got := nb.Distance(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: %d→%d distance %v (%x), recomputed %v (%x)",
+					when, f, nb.ID, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestCachedDistanceMatchesGeometricMean drives random Observe,
+// MarkDeleted and Revive sequences over small full lists — every new
+// relationship goes through the replacement scan — and checks the
+// cached distances, live and after a Save/LoadTable round trip.
+func TestCachedDistanceMatchesGeometricMean(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := stats.NewRand(seed)
+		tb := NewTable(func() config.Params {
+			p := config.Defaults()
+			p.NeighborTableSize = 5
+			p.DeletionDelay = 3
+			p.AgeLimit = 40
+			return p
+		}(), stats.NewRand(seed))
+		for step := 0; step < 3000; step++ {
+			from, to := id(1+rng.Intn(12)), id(1+rng.Intn(12))
+			switch op := rng.Intn(20); {
+			case op < 16:
+				tb.TickOpen()
+				tb.Observe(from, to, float64(rng.Intn(60))*rng.Float64(), op == 0)
+			case op < 18:
+				tb.MarkDeleted(from)
+			default:
+				tb.Revive(from)
+			}
+		}
+		checkCachedDistances(t, tb, "live")
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		tb.Save(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadTable(wire.NewReader(&buf), tb.p, stats.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCachedDistances(t, got, "loaded")
+		for _, f := range tb.Files() {
+			a, b := tb.entryOf(f).neighbors, got.entryOf(f).neighbors
+			if len(a) != len(b) {
+				t.Fatalf("file %d: %d neighbors live, %d loaded", f, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("file %d neighbor %d: live %+v, loaded %+v", f, i, a[i], b[i])
+				}
+			}
+		}
+	}
+}
+
+// A neighbor entry is 32 bytes: a full 20-entry list fits the 640 B
+// allocation size class, which is what keeps BenchmarkMemoryPerFile
+// near the paper's ~1 KB per file.
+func TestNeighborSize(t *testing.T) {
+	if n := unsafe.Sizeof(Neighbor{}); n != 32 {
+		t.Errorf("Neighbor is %d bytes, want 32", n)
+	}
+}
+
+// The sample count saturates at MaxInt32: further samples leave the
+// mean alone and only refresh the entry's age, and a snapshot whose
+// count does not fit is refused.
+func TestSampleCountSaturates(t *testing.T) {
+	tb := newTable(nil)
+	tb.Observe(id(1), id(2), 3, false)
+	nb := &tb.entryOf(id(1)).neighbors[0]
+	nb.count = math.MaxInt32 - 1
+	tb.Observe(id(1), id(2), 5, false)
+	if nb.Count() != math.MaxInt32 {
+		t.Fatalf("count = %d, want MaxInt32", nb.Count())
+	}
+	sumLog, dist := nb.sumLog, nb.Distance()
+	tb.TickOpen()
+	tb.Observe(id(1), id(2), 100, false)
+	if nb.Count() != math.MaxInt32 || nb.sumLog != sumLog || nb.Distance() != dist {
+		t.Errorf("saturated entry moved: count %d, sumLog %v → %v, distance %v → %v",
+			nb.Count(), sumLog, nb.sumLog, dist, nb.Distance())
+	}
+	if nb.lastUpdate != tb.Opens() {
+		t.Errorf("saturated entry's lastUpdate = %d, want %d", nb.lastUpdate, tb.Opens())
+	}
+
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	tb.Save(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadTable(wire.NewReader(bytes.NewReader(buf.Bytes())), tb.p, stats.NewRand(1)); err != nil {
+		t.Fatalf("load at MaxInt32: %v", err)
+	} else if c := got.entryOf(id(1)).neighbors[0].Count(); c != math.MaxInt32 {
+		t.Errorf("loaded count = %d, want MaxInt32", c)
+	}
+	for _, c := range []struct {
+		count int64
+		ok    bool
+	}{{1, true}, {math.MaxInt32 + 1, false}, {-1, false}} {
+		var snap bytes.Buffer
+		w := wire.NewWriter(&snap)
+		w.U64(0) // opens
+		w.Int(1) // files
+		w.U64(1) // file id
+		w.Int(1) // neighbors
+		w.U64(2) // neighbor id
+		w.F64(0) // sumLog
+		w.I64(c.count)
+		w.U64(0) // lastUpdate
+		w.Int(0) // delete queue
+		w.Int(0) // forgotten
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTable(wire.NewReader(&snap), tb.p, stats.NewRand(1)); (err == nil) != c.ok {
+			t.Errorf("count %d: load error %v, want ok=%v", c.count, err, c.ok)
+		}
 	}
 }

@@ -17,7 +17,6 @@ package strace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -116,9 +115,15 @@ func (p *Parser) ParseLine(line string) (trace.Event, bool) {
 	}
 	p.lastTime = ts
 
-	// Exit markers: `+++ exited with 0 +++`.
+	// Exit markers: `+++ exited with 0 +++` and `+++ killed by SIGKILL
+	// +++` end the process; `+++ superseded by execve ... +++` does not.
+	// The pid's descriptor table and stash die with it: a pid that comes
+	// back is announced by the clone that returns it, which installs its
+	// table anew.
 	if strings.HasPrefix(line, "+++") {
-		if strings.Contains(line, "exited") {
+		if strings.Contains(line, "exited") || strings.Contains(line, "killed by") {
+			delete(p.fdTables, pid)
+			delete(p.unfinished, pid)
 			return p.emit(ts, pid, trace.Event{Op: trace.OpExit}), true
 		}
 		return trace.Event{}, false
@@ -316,22 +321,38 @@ func leadingDigits(s string) int {
 	return 0
 }
 
-// parseTimestamp accepts `HH:MM:SS` or `HH:MM:SS.micros` prefixes and
-// anchors them to base's date.
+// parseTimestamp accepts `HH:MM:SS` or `HH:MM:SS.micros` prefixes (each
+// field ASCII digits) and anchors them to base's date.
 func parseTimestamp(line string, base time.Time) (time.Time, string, bool) {
 	sp := strings.IndexByte(line, ' ')
 	if sp < 0 {
 		return time.Time{}, line, false
 	}
-	tok := line[:sp]
-	var h, m int
-	var sec float64
-	if n, err := fmt.Sscanf(tok, "%d:%d:%f", &h, &m, &sec); n != 3 || err != nil {
+	hs, rest, ok1 := strings.Cut(line[:sp], ":")
+	ms, ss, ok2 := strings.Cut(rest, ":")
+	whole, frac, hasFrac := strings.Cut(ss, ".")
+	if !ok1 || !ok2 || !isDigits(hs) || !isDigits(ms) || !isDigits(whole) || hasFrac && !isDigits(frac) {
+		return time.Time{}, line, false
+	}
+	h, errH := strconv.Atoi(hs)
+	m, errM := strconv.Atoi(ms)
+	sec, errS := strconv.ParseFloat(ss, 64)
+	if errH != nil || errM != nil || errS != nil {
 		return time.Time{}, line, false
 	}
 	t := time.Date(base.Year(), base.Month(), base.Day(), h, m, 0, 0, base.Location()).
 		Add(time.Duration(sec * float64(time.Second)))
 	return t, strings.TrimSpace(line[sp:]), true
+}
+
+// isDigits reports whether s is a non-empty run of ASCII digits.
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // splitCall breaks `name(args) = result ...` into its parts.

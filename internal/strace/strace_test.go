@@ -1,6 +1,7 @@
 package strace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -444,5 +445,72 @@ func TestSymlink(t *testing.T) {
 	}
 	if evs[1].Path != "/b/link" || evs[1].Path2 != "/a/target" {
 		t.Errorf("symlinkat = %+v", evs[1])
+	}
+}
+
+func TestExitMarkers(t *testing.T) {
+	cases := []struct {
+		line string
+		exit bool
+	}{
+		{"101 +++ exited with 0 +++", true},
+		{"101 +++ exited with 127 +++", true},
+		{"101 +++ killed by SIGKILL +++", true},
+		{"101 +++ killed by SIGSEGV (core dumped) +++", true},
+		{"101 +++ superseded by execve in pid 102 +++", false},
+	}
+	for _, c := range cases {
+		p := NewParser()
+		p.ParseLine(`101 openat(AT_FDCWD, "/a", O_RDONLY) = 3`)
+		ev, ok := p.ParseLine(c.line)
+		if ok != c.exit || ok && (ev.Op != trace.OpExit || ev.PID != 101) {
+			t.Errorf("%q = %+v,%v, want exit %v", c.line, ev, ok, c.exit)
+		}
+		// An exit frees the pid's descriptor table; a non-exit keeps it.
+		if _, kept := p.fdTables[101]; kept == c.exit {
+			t.Errorf("%q: fd table kept = %v", c.line, kept)
+		}
+	}
+}
+
+func TestExitFreesFdTables(t *testing.T) {
+	// A long-running shell forks a child per command; each child's
+	// descriptor table and `<unfinished ...>` stash must go at its exit
+	// line, or the parser keeps one table per process it has ever seen.
+	p := NewParser()
+	p.ParseLine(`100 openat(AT_FDCWD, "/home/u/log", O_WRONLY) = 3`)
+	ends := []string{"exited with 0", "killed by SIGTERM"}
+	for i := 0; i < 1000; i++ {
+		child := 1000 + i
+		for _, l := range []string{
+			fmt.Sprintf("100 clone(child_stack=NULL, flags=SIGCHLD) = %d", child),
+			fmt.Sprintf(`%d openat(AT_FDCWD, "/home/u/f%d", O_RDONLY) = 4`, child, i),
+			fmt.Sprintf("%d read(4, <unfinished ...>", child),
+			fmt.Sprintf("%d +++ %s +++", child, ends[i%2]),
+		} {
+			p.ParseLine(l)
+		}
+		if len(p.fdTables) != 1 || len(p.unfinished) != 0 {
+			t.Fatalf("after %d children: %d fd tables, %d stashes, want 1 and 0",
+				i+1, len(p.fdTables), len(p.unfinished))
+		}
+	}
+	// The parent's table is untouched and still resolves its descriptor.
+	if ev, ok := p.ParseLine("100 close(3) = 0"); !ok || ev.Path != "/home/u/log" {
+		t.Errorf("parent close = %+v,%v", ev, ok)
+	}
+}
+
+func TestSharedFdTableOutlivesExit(t *testing.T) {
+	// A CLONE_FILES thread holds its own reference to the shared table,
+	// so the creator's exit does not take the thread's descriptors away.
+	src := `100 openat(AT_FDCWD, "/a", O_RDONLY) = 3
+100 clone(child_stack=NULL, flags=CLONE_FILES|CLONE_VM|SIGCHLD) = 101
+100 +++ exited with 0 +++
+101 close(3) = 0
+`
+	evs := parseAll(t, src)
+	if len(evs) != 4 || evs[3].Op != trace.OpClose || evs[3].Path != "/a" || evs[3].PID != 101 {
+		t.Fatalf("thread close after creator exit = %+v, want close /a", evs)
 	}
 }
