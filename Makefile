@@ -17,7 +17,7 @@ GO ?= go
 BENCH_TOLERANCE ?= 0.15
 BENCH_ALLOC_TOLERANCE ?= 0.15
 BENCH_TIME ?= 5x
-BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkFeedEvent$$|BenchmarkStraceParse$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$
+BENCH_CLUSTER = BenchmarkCluster2k$$|BenchmarkCluster20k$$|BenchmarkHoardPlan$$|BenchmarkPlanFullRebuild$$|BenchmarkFeedEvent$$|BenchmarkStraceParse$$|BenchmarkClusterIncremental20k$$|BenchmarkClusterIncremental200k$$|BenchmarkClusterIncremental1M$$
 BENCH_SIM = BenchmarkFigure3$$|BenchmarkTable3$$|BenchmarkWorkloadGenerate$$|BenchmarkSemanticDistance$$
 
 .PHONY: check vet build test test-race fuzz fuzz-strace chaos flake-check shard-chaos rumor-chaos metrics-smoke reload-smoke trace-smoke metrics-lint unlinked-check bench bench-check load-smoke load-bench benchmark-test
@@ -36,10 +36,14 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the snapshot loader; extend -fuzztime for a
+# Fuzz the snapshot loader (arbitrary bytes load or fail cleanly, never
+# panic), then the directory distance against its strings.Split
+# reference. CI runs this briefly on every push; raise FUZZTIME for a
 # deeper run.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzLoad -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzDirDistance -fuzztime=$(FUZZTIME) -run '^$$' ./internal/simfs/
 
 # Fuzz the strace line parser (escape decoding, fd tracking, timestamp
 # rollover all chew on untrusted text), then the timestamp scanner

@@ -188,6 +188,30 @@ func BenchmarkHoardPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanFullRebuild measures a read after a change the cluster
+// cache cannot patch, over BenchmarkHoardPlan's state with every 50th
+// planned file missed (forced, with its project mates): a full
+// clustering with the directory-distance adjustment on, then the
+// ranking. AddRelations(nil) adds no relation; it only marks the cache
+// for a full rebuild.
+func BenchmarkPlanFullRebuild(b *testing.B) {
+	m := sim.NewMachine(benchOpts(b, "D", 20))
+	for _, ev := range m.Tr.Events {
+		m.Corr.Feed(ev)
+	}
+	plan := m.Corr.Plan()
+	for i := 0; i < plan.Len(); i += 50 {
+		m.Corr.ForceHoard(plan.Entries[i].File.Path)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Corr.AddRelations(nil)
+		if m.Corr.Plan().Len() == 0 {
+			b.Fatal("empty plan")
+		}
+	}
+}
+
 // BenchmarkFigure2 regenerates one Figure 2 cell (machine D, daily).
 func BenchmarkFigure2(b *testing.B) {
 	opts := benchOpts(b, "D", 30)

@@ -96,7 +96,7 @@ func (t *recencyTable) sortedBy(less func(a, b *refInfo) bool) []*refInfo {
 }
 
 func buildPlan(infos []*refInfo) *hoard.Plan {
-	b := hoard.NewBuilder()
+	b := hoard.NewBuilder(len(infos))
 	for _, ri := range infos {
 		b.Add(ri.file, hoard.ReasonRecency, 0)
 	}

@@ -13,9 +13,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -43,6 +46,12 @@ type Correlator struct {
 	extraPairs []cluster.Pair
 	// forced holds files the user demanded hoarded after a miss (§4.4).
 	forced map[simfs.FileID]bool
+	// forcedByPath is the forced set in path order, the order planFrom
+	// adds it in. A newly forced file is inserted in place. A rename may
+	// move a forced file's path, so it sets forcedStale, and the next
+	// plan re-sorts the whole set.
+	forcedByPath []*simfs.File
+	forcedStale  bool
 
 	// events counts trace events fed; atomic so operator views (the
 	// shard /shards report) can read it without the correlator lock.
@@ -130,12 +139,13 @@ func New(opts Options) *Correlator {
 		reg = obs.NewRegistry()
 	}
 	c := &Correlator{
-		p:      p,
-		fs:     fs,
-		obs:    observer.New(p, ctl, fs, opts.DirSize),
-		tbl:    semdist.NewTable(p, stats.NewRand(opts.Seed+1)),
-		forced: make(map[simfs.FileID]bool),
-		reg:    reg,
+		p:           p,
+		fs:          fs,
+		obs:         observer.New(p, ctl, fs, opts.DirSize),
+		tbl:         semdist.NewTable(p, stats.NewRand(opts.Seed+1)),
+		forced:      make(map[simfs.FileID]bool),
+		forcedStale: true,
+		reg:         reg,
 	}
 	c.mEvents = reg.Counter("seer_events_ingested_total",
 		"Trace events fed to the correlator.")
@@ -247,7 +257,9 @@ func (c *Correlator) Feed(ev trace.Event) {
 		// directory-distance adjustment applied to every pair the file
 		// participates in. The old adjusted scores cannot be recovered
 		// from the neighbor journals, so patching is off the table.
+		// It may also move a forced file out of path order.
 		c.fullDirty = true
+		c.forcedStale = true
 	}
 	c.events.Add(1)
 	c.mEvents.Inc()
@@ -303,9 +315,10 @@ func (c *Correlator) ForceHoard(path string) []string {
 	if f == nil {
 		f = c.fs.Intern(path, simfs.Regular, 0)
 	}
-	c.forced[f.ID] = true
-	// The miss is also a meaningful reference: refresh recency so the
-	// file's project ranks as currently active.
+	c.force(f)
+	// The file and its mates go to the always tier, ahead of every
+	// project, so their projects' activity does not decide whether they
+	// are hoarded.
 	res := c.Clusters()
 	var mates []string
 	for _, ci := range res.ClustersOf(f.ID) {
@@ -315,12 +328,45 @@ func (c *Correlator) ForceHoard(path string) []string {
 			}
 			if mf := c.fs.Get(m); mf != nil && mf.Exists {
 				mates = append(mates, mf.Path)
-				c.forced[m] = true
+				c.force(mf)
 			}
 		}
 	}
 	sort.Strings(mates)
 	return mates
+}
+
+// force adds f to the forced set, keeping forcedByPath in path order
+// unless a rename has already marked it for a re-sort.
+func (c *Correlator) force(f *simfs.File) {
+	if c.forced[f.ID] {
+		return
+	}
+	c.forced[f.ID] = true
+	if !c.forcedStale {
+		i, _ := slices.BinarySearchFunc(c.forcedByPath, f.Path, func(g *simfs.File, path string) int {
+			return strings.Compare(g.Path, path)
+		})
+		c.forcedByPath = slices.Insert(c.forcedByPath, i, f)
+	}
+}
+
+// forcedInPathOrder returns the forced files sorted by path, re-sorting
+// the set only after a rename.
+func (c *Correlator) forcedInPathOrder() []*simfs.File {
+	if c.forcedStale {
+		c.forcedByPath = c.forcedByPath[:0]
+		for id := range c.forced {
+			if f := c.fs.Get(id); f != nil {
+				c.forcedByPath = append(c.forcedByPath, f)
+			}
+		}
+		sortFilesByPath(c.forcedByPath)
+		// An id the file table has not handed out (a restored snapshot
+		// can name one) may resolve later, so the order stays stale.
+		c.forcedStale = len(c.forcedByPath) < len(c.forced)
+	}
+	return c.forcedByPath
 }
 
 // ForcedFiles returns the currently forced hoard set.
@@ -534,11 +580,25 @@ func (c *Correlator) PlanFrom(res *cluster.Result) *hoard.Plan {
 }
 
 func (c *Correlator) planFrom(res *cluster.Result) *hoard.Plan {
-	b := hoard.NewBuilder()
 	// Recency comes from the observer: it reflects meaningful user
 	// references only, so a find scan does not refresh every file the
-	// way it would under LRU (§4.1).
+	// way it would under LRU (§4.1). seq copies it into a table indexed
+	// by FileID; recency falls back to the map only for an id the file
+	// table never handed out.
 	lastRef := c.obs.LastRefs()
+	seq := make([]uint64, c.fs.MaxID()+1)
+	for id, s := range lastRef {
+		if id > 0 && int(id) < len(seq) {
+			seq[id] = s
+		}
+	}
+	recency := func(id simfs.FileID) uint64 {
+		if id > 0 && int(id) < len(seq) {
+			return seq[id]
+		}
+		return lastRef[id]
+	}
+	b := hoard.NewBuilder(len(lastRef) + len(c.forced))
 
 	// 1. Files hoarded regardless of behaviour (§4.2, §4.3, §4.6),
 	// deterministically ordered by path.
@@ -554,14 +614,7 @@ func (c *Correlator) planFrom(res *cluster.Result) *hoard.Plan {
 	}
 
 	// 1b. Files forced after recorded misses (§4.4).
-	forced := make([]*simfs.File, 0, len(c.forced))
-	for id := range c.forced {
-		if f := c.fs.Get(id); f != nil {
-			forced = append(forced, f)
-		}
-	}
-	sortFilesByPath(forced)
-	for _, f := range forced {
+	for _, f := range c.forcedInPathOrder() {
 		b.Add(f, hoard.ReasonAlways, 0)
 	}
 
@@ -575,44 +628,45 @@ func (c *Correlator) planFrom(res *cluster.Result) *hoard.Plan {
 	for _, cl := range res.Clusters {
 		var act uint64
 		for _, m := range cl.Members {
-			if s := lastRef[m]; s > act {
+			if s := recency(m); s > act {
 				act = s
 			}
 		}
 		ranked = append(ranked, rankedCluster{id: cl.ID, activity: act})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].activity != ranked[j].activity {
-			return ranked[i].activity > ranked[j].activity
+	slices.SortFunc(ranked, func(a, b rankedCluster) int {
+		if a.activity != b.activity {
+			return cmp.Compare(b.activity, a.activity)
 		}
-		return ranked[i].id < ranked[j].id
+		return cmp.Compare(a.id, b.id)
 	})
+	var members []recentFile
 	for _, rc := range ranked {
 		cl := &res.Clusters[rc.id]
-		members := make([]*simfs.File, 0, len(cl.Members))
+		members = members[:0]
 		for _, m := range cl.Members {
 			if f := c.fs.Get(m); f != nil {
-				members = append(members, f)
+				members = append(members, recentFile{recency(m), f})
 			}
 		}
 		// Within a cluster, most recent first (matters only when the
 		// filler is in prefix mode).
-		sortFilesByRecency(members, lastRef)
-		for _, f := range members {
-			b.Add(f, hoard.ReasonCluster, cl.ID)
+		slices.SortFunc(members, byRecency)
+		for _, rf := range members {
+			b.Add(rf.f, hoard.ReasonCluster, cl.ID)
 		}
 	}
 
 	// 3. Remaining referenced files in LRU order.
-	tail := make([]*simfs.File, 0)
-	for id := range lastRef {
+	tail := make([]recentFile, 0, len(lastRef))
+	for id, s := range lastRef {
 		if f := c.fs.Get(id); f != nil {
-			tail = append(tail, f)
+			tail = append(tail, recentFile{s, f})
 		}
 	}
-	sortFilesByRecency(tail, lastRef)
-	for _, f := range tail {
-		b.Add(f, hoard.ReasonRecency, 0)
+	slices.SortFunc(tail, byRecency)
+	for _, rf := range tail {
+		b.Add(rf.f, hoard.ReasonRecency, 0)
 	}
 	return b.Plan()
 }
@@ -626,14 +680,18 @@ func sortFilesByPath(files []*simfs.File) {
 	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
 }
 
-// sortFilesByRecency orders most recently referenced first, with path
-// order breaking ties (including never-referenced files).
-func sortFilesByRecency(files []*simfs.File, lastSeq map[simfs.FileID]uint64) {
-	sort.Slice(files, func(i, j int) bool {
-		si, sj := lastSeq[files[i].ID], lastSeq[files[j].ID]
-		if si != sj {
-			return si > sj
-		}
-		return files[i].Path < files[j].Path
-	})
+// recentFile pairs a file with its last meaningful reference, so a
+// recency sort compares without looking the stamp up.
+type recentFile struct {
+	seq uint64
+	f   *simfs.File
+}
+
+// byRecency orders most recently referenced first, with path order
+// breaking ties (including never-referenced files).
+func byRecency(a, b recentFile) int {
+	if a.seq != b.seq {
+		return cmp.Compare(b.seq, a.seq)
+	}
+	return strings.Compare(a.f.Path, b.f.Path)
 }

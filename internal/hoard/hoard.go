@@ -72,9 +72,12 @@ type Builder struct {
 	cum  int64
 }
 
-// NewBuilder returns an empty plan builder.
-func NewBuilder() *Builder {
-	return &Builder{plan: Plan{index: make(map[simfs.FileID]int)}}
+// NewBuilder returns an empty plan builder sized for n files.
+func NewBuilder(n int) *Builder {
+	return &Builder{plan: Plan{
+		Entries: make([]Entry, 0, n),
+		index:   make(map[simfs.FileID]int, n),
+	}}
 }
 
 // Add appends f to the plan if it is a plannable, not-yet-planned file.

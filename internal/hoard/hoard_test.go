@@ -19,7 +19,7 @@ func mkfs(sizes ...int64) (*simfs.FS, []*simfs.File) {
 
 func TestBuilderDedupAndCum(t *testing.T) {
 	_, fs := mkfs(10, 20, 30)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	if !b.Add(fs[0], ReasonAlways, 0) {
 		t.Fatal("first add failed")
 	}
@@ -48,7 +48,7 @@ func TestBuilderSkipsDirectoriesAndDeleted(t *testing.T) {
 	d := fs.Create("/dir", simfs.Directory, 0, 1)
 	f := fs.Create("/gone", simfs.Regular, 5, 2)
 	fs.Remove("/gone")
-	b := NewBuilder()
+	b := NewBuilder(0)
 	if b.Add(d, ReasonAlways, 0) {
 		t.Error("directory planned")
 	}
@@ -65,7 +65,7 @@ func TestBuilderSkipsDirectoriesAndDeleted(t *testing.T) {
 
 func TestMissFreeSize(t *testing.T) {
 	_, fs := mkfs(10, 20, 30, 40)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	for _, f := range fs {
 		b.Add(f, ReasonRecency, 0)
 	}
@@ -89,7 +89,7 @@ func TestMissFreeSize(t *testing.T) {
 
 func TestFillPrefix(t *testing.T) {
 	_, fs := mkfs(10, 20, 30)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	for _, f := range fs {
 		b.Add(f, ReasonRecency, 0)
 	}
@@ -104,7 +104,7 @@ func TestFillPrefix(t *testing.T) {
 
 func TestFillWholeClustersSkipsUnfitting(t *testing.T) {
 	_, fs := mkfs(10, 50, 50, 10, 5)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Add(fs[0], ReasonAlways, 0)  // 10
 	b.Add(fs[1], ReasonCluster, 1) // cluster 1: 100 total
 	b.Add(fs[2], ReasonCluster, 1) //
@@ -128,7 +128,7 @@ func TestFillWholeClustersSkipsUnfitting(t *testing.T) {
 
 func TestFillWholeClustersAdmitsFitting(t *testing.T) {
 	_, fs := mkfs(10, 20, 30)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Add(fs[0], ReasonCluster, 1)
 	b.Add(fs[1], ReasonCluster, 1)
 	b.Add(fs[2], ReasonCluster, 2)
@@ -140,7 +140,7 @@ func TestFillWholeClustersAdmitsFitting(t *testing.T) {
 
 func TestFillRecencyTailStopsAtFirstMisfit(t *testing.T) {
 	_, fs := mkfs(30, 5, 5)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	for _, f := range fs {
 		b.Add(f, ReasonRecency, 0)
 	}
@@ -154,11 +154,11 @@ func TestFillRecencyTailStopsAtFirstMisfit(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	_, fs := mkfs(10, 20, 30)
-	b1 := NewBuilder()
+	b1 := NewBuilder(0)
 	b1.Add(fs[0], ReasonRecency, 0)
 	b1.Add(fs[1], ReasonRecency, 0)
 	prev := b1.Plan().Fill(100, false)
-	b2 := NewBuilder()
+	b2 := NewBuilder(0)
 	b2.Add(fs[1], ReasonRecency, 0)
 	b2.Add(fs[2], ReasonRecency, 0)
 	next := b2.Plan().Fill(100, false)
@@ -185,7 +185,7 @@ func TestDiff(t *testing.T) {
 // of what follows.
 func TestContentsIDs(t *testing.T) {
 	_, fs := mkfs(20, 5, 5, 50, 60, 10)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Add(fs[5], ReasonAlways, 0)
 	b.Add(fs[4], ReasonCluster, 1)
 	b.Add(fs[3], ReasonCluster, 1)

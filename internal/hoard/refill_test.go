@@ -7,7 +7,7 @@ import (
 )
 
 func planOf(fs []*simfs.File, order []int) *Plan {
-	b := NewBuilder()
+	b := NewBuilder(0)
 	for _, i := range order {
 		b.Add(fs[i], ReasonRecency, 0)
 	}

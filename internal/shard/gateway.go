@@ -302,8 +302,8 @@ func (g *Gateway) route(ctx context.Context, endpoint, user string, op shardOp) 
 	return out
 }
 
-// write renders an outcome.
-func (g *Gateway) write(w http.ResponseWriter, out outcome) {
+// write renders an outcome and returns the body bytes it sent.
+func (g *Gateway) write(w http.ResponseWriter, out outcome) int {
 	if out.retryAfter != "" {
 		w.Header().Set("Retry-After", out.retryAfter)
 	}
@@ -312,12 +312,13 @@ func (g *Gateway) write(w http.ResponseWriter, out outcome) {
 	}
 	if out.status != http.StatusOK {
 		http.Error(w, out.err, out.status)
-		return
+		return len(out.err) + 1 // http.Error ends the message with a newline
 	}
 	if out.stale {
 		w.Header().Set(StaleHeader, "true")
 	}
-	w.Write(out.body)
+	n, _ := w.Write(out.body)
+	return n
 }
 
 // user extracts the routing key. A missing key is refused only when
@@ -346,21 +347,25 @@ func (g *Gateway) rootSpan(req *http.Request, endpoint string) *obs.ActiveSpan {
 	return g.tracer.StartRoot("gateway:" + endpoint)
 }
 
-// traced runs the routed request under its root span and records the
-// per-endpoint latency (successes only — errors feed the route-error
-// counter instead) with the trace id as the bucket exemplar.
-func (g *Gateway) traced(ctx context.Context, req *http.Request, endpoint, user string, op shardOp) outcome {
+// traced runs the routed request under its root span, writes the
+// answer under a `write` child, and records the per-endpoint latency
+// (successes only — errors feed the route-error counter instead) with
+// the trace id as the bucket exemplar. The span and the latency both
+// cover the body write, so a slow client's send time is not lost.
+func (g *Gateway) traced(ctx context.Context, w http.ResponseWriter, req *http.Request, endpoint, user string, op shardOp) {
 	root := g.rootSpan(req, endpoint)
 	start := time.Now()
 	out := g.route(obs.ContextWithSpan(ctx, root.Context()), endpoint, user, op)
-	if out.status == http.StatusOK {
-		g.mLatency.With(endpoint).ObserveTrace(time.Since(start).Seconds(), root.Context().Trace)
-	}
-	root.AttrInt("status", int64(out.status)).End()
-	if sc := root.Context(); sc.Valid() {
+	sc := root.Context()
+	if sc.Valid() {
 		out.trace = sc.Trace
 	}
-	return out
+	ws := g.tracer.StartChild(sc, "write")
+	ws.AttrInt("bytes", int64(g.write(w, out))).End()
+	if out.status == http.StatusOK {
+		g.mLatency.With(endpoint).ObserveTrace(time.Since(start).Seconds(), sc.Trace)
+	}
+	root.AttrInt("status", int64(out.status)).End()
 }
 
 // serve is the common GET wrapper: extract user, bound the context,
@@ -373,7 +378,7 @@ func (g *Gateway) serve(w http.ResponseWriter, req *http.Request, endpoint strin
 	}
 	ctx, cancel := g.boundCtx(req)
 	defer cancel()
-	g.write(w, g.traced(ctx, req, endpoint, u, op))
+	g.traced(ctx, w, req, endpoint, u, op)
 }
 
 func (g *Gateway) handlePlan(w http.ResponseWriter, req *http.Request) {
@@ -460,14 +465,13 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 	ctx, cancel := g.boundCtx(req)
 	defer cancel()
-	out := g.traced(ctx, req, "events", u, func(ctx context.Context, s *Shard) ([]byte, bool, error) {
+	g.traced(ctx, w, req, "events", u, func(ctx context.Context, s *Shard) ([]byte, bool, error) {
 		n, err := s.IngestLines(ctx, lines)
 		if err != nil {
 			return nil, false, err
 		}
 		return fmt.Appendf(nil, "ingested %d events\n", n), false, nil
 	})
-	g.write(w, out)
 }
 
 // HandleShards renders the manager report as JSON (served on both the

@@ -832,12 +832,43 @@ func (s *Shard) renderPlan(ctx context.Context, w *bytes.Buffer, sp *obs.ActiveS
 	if err != nil {
 		return err
 	}
-	for i, e := range plan.Entries {
-		fmt.Fprintf(w, "%5d %8s %10d %12d %s\n",
-			i, e.Reason, e.File.Size, e.Cum, e.File.Path)
+	n := 0
+	for _, e := range plan.Entries {
+		n += planRowWidth + len(e.File.Path)
 	}
+	w.Grow(n)
+	row := w.AvailableBuffer()
+	for i, e := range plan.Entries {
+		row = appendPlanRow(row, i, e.Reason.String(), e.File.Size, e.Cum, e.File.Path)
+	}
+	w.Write(row)
 	sp.AttrInt("entries", int64(len(plan.Entries)))
 	return nil
+}
+
+// planRowWidth is a /plan row's length less its path when no number
+// outgrows its column.
+const planRowWidth = 5 + 1 + 8 + 1 + 10 + 1 + 12 + 1 + 1
+
+// appendPlanRow appends one /plan row in the layout
+// "%5d %8s %10d %12d %s\n": each field right-aligned in its column
+// with spaces, and never truncated.
+func appendPlanRow(dst []byte, rank int, reason string, size, cum int64, path string) []byte {
+	var num [20]byte
+	dst = appendRight(dst, strconv.AppendInt(num[:0], int64(rank), 10), 5)
+	dst = appendRight(append(dst, ' '), reason, 8)
+	dst = appendRight(append(dst, ' '), strconv.AppendInt(num[:0], size, 10), 10)
+	dst = appendRight(append(dst, ' '), strconv.AppendInt(num[:0], cum, 10), 12)
+	dst = append(append(dst, ' '), path...)
+	return append(dst, '\n')
+}
+
+// appendRight appends field padded on the left with spaces to width.
+func appendRight[T string | []byte](dst []byte, field T, width int) []byte {
+	for pad := width - len(field); pad > 0; pad-- {
+		dst = append(dst, ' ')
+	}
+	return append(dst, field...)
 }
 
 // hoardFillMax bounds how many files one /hoard answer pre-fetches from
@@ -881,7 +912,7 @@ func (s *Shard) reqSpan(ctx context.Context, stage string) *obs.ActiveSpan {
 // file ids (caller holds the lock). It also refreshes the shard's hoard
 // gauges, including the paper-§5 miss-free size: the hoard that would
 // have served every currently observed reference.
-func (s *Shard) renderHoard(ctx context.Context, w io.Writer, budget int64) ([]simfs.FileID, error) {
+func (s *Shard) renderHoard(ctx context.Context, w *bytes.Buffer, budget int64) ([]simfs.FileID, error) {
 	s.mPlans.Inc()
 	plan, err := s.corr.PlanContext(ctx)
 	if err != nil {
@@ -914,7 +945,8 @@ func (s *Shard) renderHoard(ctx context.Context, w io.Writer, budget int64) ([]s
 	}
 	for _, id := range ids {
 		if f := s.corr.FS().Get(id); f != nil {
-			fmt.Fprintln(w, f.Path)
+			w.WriteString(f.Path)
+			w.WriteByte('\n')
 		}
 	}
 	return ids, nil

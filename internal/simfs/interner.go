@@ -1,11 +1,11 @@
 package simfs
 
-// Interner assigns dense small-integer indices to FileIDs. FileIDs are
-// sparse (never reused, so a long-lived table's IDs drift far from 0),
-// which forces map-keyed data structures everywhere they are used as
-// keys. Hot algorithms — clustering above all — instead intern the IDs
-// they touch into a dense 0..n-1 space once, then run entirely on
-// slice-indexed state.
+// Interner assigns dense small-integer indices to a subset of FileIDs.
+// Within one FS the IDs are dense already (1..MaxID), but a clustering
+// touches only the files the semantic-distance table tracks, a fraction
+// of every file the table ever saw. Hot algorithms — clustering above
+// all — intern the IDs they touch into a dense 0..n-1 space once, then
+// run entirely on slice-indexed state sized to that subset.
 //
 // Indices are assigned in first-Intern order, so a deterministic
 // interning pass yields deterministic indices. An Interner is not safe

@@ -2,23 +2,17 @@ package simfs
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/fmg/seer/internal/stats"
 	"github.com/fmg/seer/internal/wire"
 )
 
-// Save serializes the file table.
+// Save serializes the file table: the next ID, then every file in ID
+// order.
 func (fs *FS) Save(w *wire.Writer) {
-	ids := make([]FileID, 0, len(fs.byID))
-	for id := range fs.byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U64(uint64(fs.nextID))
-	w.Int(len(ids))
-	for _, id := range ids {
-		f := fs.byID[id]
+	w.U64(uint64(len(fs.byID)))
+	w.Int(len(fs.byID))
+	for _, f := range fs.byID {
 		w.U64(uint64(f.ID))
 		w.Str(f.Path)
 		w.U64(uint64(f.Kind))
@@ -29,16 +23,20 @@ func (fs *FS) Save(w *wire.Writer) {
 }
 
 // LoadFS reconstructs a file table saved with Save. rng seeds future
-// unknown-size draws.
+// unknown-size draws. It accepts exactly the shape Save writes: n
+// files with IDs 1..n in increasing order, and a next ID of n.
 func LoadFS(r *wire.Reader, rng *stats.Rand) (*FS, error) {
 	fs := New(rng)
-	fs.nextID = FileID(r.U64())
+	next := r.U64()
 	n := r.Int()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("simfs: negative file count %d", n)
+	}
+	if next != uint64(n) {
+		return nil, fmt.Errorf("simfs: next id %d does not follow %d files", next, n)
 	}
 	for i := 0; i < n; i++ {
 		f := &File{
@@ -52,7 +50,10 @@ func LoadFS(r *wire.Reader, rng *stats.Rand) (*FS, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		fs.byID[f.ID] = f
+		if int(f.ID) != i+1 {
+			return nil, fmt.Errorf("simfs: file %d has id %d, want %d", i, f.ID, i+1)
+		}
+		fs.byID = append(fs.byID, f)
 		// Pathname entries: deleted files displaced by renames may have
 		// lost their path slot; latest writer wins (IDs are saved in
 		// increasing order so the live file, interned later, wins ties).

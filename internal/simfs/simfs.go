@@ -18,9 +18,9 @@ import (
 	"github.com/fmg/seer/internal/stats"
 )
 
-// FileID identifies a file in an FS. IDs are never reused, so a deleted
-// and recreated pathname gets a fresh ID once the correlator's deletion
-// delay expires.
+// FileID identifies a file in an FS. An FS hands IDs out densely from 1
+// in creation order and never reuses one, so a deleted and recreated
+// pathname gets a fresh ID once the correlator's deletion delay expires.
 type FileID int32
 
 // NoFile is the zero FileID, never assigned to a real file.
@@ -76,9 +76,10 @@ type File struct {
 // (trace order is the semantics).
 type FS struct {
 	byPath map[string]*File
-	byID   map[FileID]*File
-	nextID FileID
-	rng    *stats.Rand
+	// byID[id-1] is the file with that ID: IDs are dense, start at 1
+	// and are never reused, so the table only grows by appending.
+	byID []*File
+	rng  *stats.Rand
 	// totalBytes tracks the sum of sizes of existing regular files.
 	totalBytes int64
 }
@@ -91,7 +92,6 @@ func New(rng *stats.Rand) *FS {
 	}
 	return &FS{
 		byPath: make(map[string]*File),
-		byID:   make(map[FileID]*File),
 		rng:    rng,
 	}
 }
@@ -106,7 +106,16 @@ func (fs *FS) TotalBytes() int64 { return fs.totalBytes }
 func (fs *FS) Lookup(path string) *File { return fs.byPath[path] }
 
 // Get returns the file with the given ID, or nil.
-func (fs *FS) Get(id FileID) *File { return fs.byID[id] }
+func (fs *FS) Get(id FileID) *File {
+	if id < 1 || int(id) > len(fs.byID) {
+		return nil
+	}
+	return fs.byID[id-1]
+}
+
+// MaxID returns the highest ID handed out so far (NoFile when empty).
+// Every ID from 1 to MaxID names a file, deleted or not.
+func (fs *FS) MaxID() FileID { return FileID(len(fs.byID)) }
 
 // Intern returns the file at path, creating it (existing, with a size
 // drawn from the geometric distribution if kind is Regular) when absent
@@ -151,9 +160,8 @@ func (fs *FS) Create(path string, kind Kind, size int64, seq uint64) *File {
 }
 
 func (fs *FS) create(path string, kind Kind, size int64, seq uint64) *File {
-	fs.nextID++
 	f := &File{
-		ID:         fs.nextID,
+		ID:         FileID(len(fs.byID) + 1),
 		Path:       path,
 		Kind:       kind,
 		Size:       size,
@@ -161,7 +169,7 @@ func (fs *FS) create(path string, kind Kind, size int64, seq uint64) *File {
 		CreatedSeq: seq,
 	}
 	fs.byPath[path] = f
-	fs.byID[f.ID] = f
+	fs.byID = append(fs.byID, f)
 	if kind == Regular {
 		fs.totalBytes += size
 	}
@@ -210,7 +218,7 @@ func (fs *FS) Rename(oldPath, newPath string, seq uint64) bool {
 // Resize updates the size of an existing regular file (workloads grow
 // object files, documents, and mailboxes over time).
 func (fs *FS) Resize(id FileID, size int64) {
-	f := fs.byID[id]
+	f := fs.Get(id)
 	if f == nil || f.Kind != Regular {
 		return
 	}
@@ -255,19 +263,36 @@ func DirDistance(pathA, pathB string) int {
 	if da == db {
 		return 0
 	}
-	ca := splitComponents(da)
-	cb := splitComponents(db)
+	a, na := components(da)
+	b, nb := components(db)
 	common := 0
-	for common < len(ca) && common < len(cb) && ca[common] == cb[common] {
+	for common < na && common < nb {
+		ca, restA := nextComponent(a)
+		cb, restB := nextComponent(b)
+		if ca != cb {
+			break
+		}
 		common++
+		a, b = restA, restB
 	}
-	return (len(ca) - common) + (len(cb) - common)
+	return (na - common) + (nb - common)
 }
 
-func splitComponents(dir string) []string {
+// components returns dir without its leading slash and the number of
+// slash-separated components in it: none for "" and "/", and an empty
+// component for every doubled or trailing slash.
+func components(dir string) (string, int) {
 	if dir == "" || dir == "/" {
-		return nil
+		return "", 0
 	}
 	dir = strings.TrimPrefix(dir, "/")
-	return strings.Split(dir, "/")
+	return dir, strings.Count(dir, "/") + 1
+}
+
+// nextComponent splits the first component off s.
+func nextComponent(s string) (comp, rest string) {
+	if i := strings.IndexByte(s, '/'); i >= 0 {
+		return s[:i], s[i+1:]
+	}
+	return s, ""
 }

@@ -4,9 +4,9 @@
 # exemplar trace id off /metrics, and stitch that trace across both
 # daemons with `seerctl trace` — failing if any expected hop (gateway
 # root, retry attempt layer, shard stage, rumor client hop, rumord
-# server hop) is missing from the rendered tree. This is the black-box
-# proof that one request is reconstructable end to end from a bucket
-# exemplar, using only the built binaries (DESIGN.md §17).
+# server hop, body write) is missing from the rendered tree. This is
+# the black-box proof that one request is reconstructable end to end
+# from a bucket exemplar, using only the built binaries (DESIGN.md §17).
 set -eu
 
 BIN=${BIN:-bin/seerd}
@@ -54,7 +54,8 @@ curl -fsS "http://$ADDR/metrics" > "$WORK/metrics.txt"
 
 # At least one OpenMetrics exemplar must be present, and the hoard
 # endpoint's exemplar hands us a trace id whose request crossed every
-# layer: gateway -> attempt -> shard hoard -> rumor sync -> rumord.
+# layer: gateway -> attempt -> shard hoard -> rumor sync -> rumord,
+# and then the body write under the gateway root.
 if ! grep -q '# {trace_id=' "$WORK/metrics.txt"; then
     echo "MISSING exemplars on /metrics" >&2
     exit 1
@@ -72,7 +73,7 @@ echo "--- seerctl trace $TID ---"
 cat "$WORK/trace.txt"
 
 status=0
-for hop in 'gateway:hoard' 'attempt' 'hoard' 'rumor:' 'master:'; do
+for hop in 'gateway:hoard' 'attempt' 'hoard' 'rumor:' 'master:' '^  write .*bytes='; do
     if ! grep -q "$hop" "$WORK/trace.txt"; then
         echo "MISSING hop in stitched trace: $hop" >&2
         status=1
