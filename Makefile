@@ -68,12 +68,14 @@ chaos: vet
 
 # Flake gate: repeat timing-sensitive tests many times, at one and four
 # CPUs, under the race detector, so a test that passes once by luck
-# fails here: the config watcher's tests, and the property test pinning
+# fails here: the config watcher's tests, the property test pinning
 # each shard's published /plan and /hoard to a render under the lock
-# while feeds, misses, reloads and reads race.
+# while feeds, misses, reloads and reads race, and a reload landing
+# while a drain's replacement opens.
 flake-check:
 	$(GO) test -race -count=20 -cpu=1,4 -run TestWatcher ./internal/supervise/
 	$(GO) test -race -count=20 -cpu=1,4 -run TestPublishedBodyMatchesLockedRender ./internal/shard/
+	$(GO) test -race -count=20 -cpu=1,4 -run TestReloadDuringDrainReachesReplacement ./internal/shard/
 
 # Metrics smoke: run a built seerd against a sample strace file and
 # verify /metrics exposes the core series, the debug listener serves
@@ -123,11 +125,12 @@ unlinked-check:
 # panic, a wedged correlator, or a corrupt SEERDB — every other shard
 # must keep answering 200 with zero cross-shard stage restarts, a
 # mid-traffic drain/migrate must replay a byte-identical plan with zero
-# event loss, and a hung rumor master must hold no shard's /hoard past
-# its deadline (DESIGN.md §15). Race detector on; CHAOS_COUNT repeats.
+# event loss, a reload racing a drain must reach the replacement, and a
+# hung rumor master must hold no shard's /hoard past its deadline
+# (DESIGN.md §15). Race detector on; CHAOS_COUNT repeats.
 shard-chaos: vet
 	$(GO) test -race -count=$(CHAOS_COUNT) \
-		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestQueueResizeRacesShedOldest|TestCheckpointFailureDegradesOnlyItsShard|TestHungRumorBlocksNoHoardPastDeadline' \
+		-run 'TestChaosShardIsolation|TestGatewayRetryAcrossDrain|TestTraceRetryAcrossDrain|TestGatewayHonorsAdmission|TestDrainReplayByteIdentical|TestApplyRuntimeOnlyWhileServing|TestReloadDuringDrainReachesReplacement|TestQueueResizeRacesShedOldest|TestCheckpointFailureDegradesOnlyItsShard|TestHungRumorBlocksNoHoardPastDeadline' \
 		./internal/shard/ ./internal/supervise/
 
 # Replication chaos gate: the networked CheapRumor substrate under 30%

@@ -173,12 +173,17 @@ func benchClusterIncremental(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkHoardPlan measures plan construction (clustering + ranking)
-// over a replayed machine state.
+// BenchmarkHoardPlan measures plan construction at a cluster-cache hit
+// (the ranking alone) over a replayed machine state: one plan before
+// the timer warms the cache, so no iteration clusters.
+// BenchmarkPlanFullRebuild covers the clustering.
 func BenchmarkHoardPlan(b *testing.B) {
 	m := sim.NewMachine(benchOpts(b, "D", 20))
 	for _, ev := range m.Tr.Events {
 		m.Corr.Feed(ev)
+	}
+	if m.Corr.Plan().Len() == 0 {
+		b.Fatal("empty plan")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

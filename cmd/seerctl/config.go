@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/fmg/seer/internal/config"
@@ -15,14 +14,9 @@ import (
 // renders the active settings plus the last reload outcome as a
 // one-screen table.
 func printConfig(w io.Writer, base string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/debug/config")
+	body, err := call(http.MethodGet, base, "/debug/config", 5*time.Second)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s/debug/config: %s", base, resp.Status)
 	}
 	var dc struct {
 		Generation uint64               `json:"generation"`
@@ -30,8 +24,8 @@ func printConfig(w io.Writer, base string) error {
 		Settings   []config.KV          `json:"settings"`
 		LastReload *config.ReloadStatus `json:"last_reload"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dc); err != nil {
-		return err
+	if err := json.Unmarshal(body, &dc); err != nil {
+		return fmt.Errorf("decoding /debug/config: %w", err)
 	}
 	fmt.Fprintf(w, "generation  %d\n", dc.Generation)
 	if dc.ConfigFile != "" {

@@ -24,7 +24,8 @@
 // The observability subcommands complete the debugging loop: `trace ID`
 // scrapes /debug/traces from every daemon in a comma-separated -addr
 // list and stitches one request's spans into a single tree, `slo`
-// renders the burn-rate monitors behind /debug/slo, and `flight
+// renders the burn-rate monitors (seer_slo_burn_rate from /metrics,
+// the breach state from the slo probe on /healthz), and `flight
 // [REASON]` asks the daemon to capture a postmortem flight bundle:
 //
 //	seerctl -addr http://host:7077,http://master:7078 trace 81d2aa309be021c7
@@ -35,9 +36,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/core"
@@ -318,4 +322,34 @@ func flagSet(name string) bool {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "seerctl: %v\n", err)
 	os.Exit(1)
+}
+
+// call sends one request to a running daemon (base is its URL, path
+// the endpoint with any query) and returns the response body. A status
+// other than 200 is an error naming the request, the status and the
+// start of the body; the body is returned with it.
+func call(method, base, path string, timeout time.Duration) ([]byte, error) {
+	u := strings.TrimRight(base, "/") + path
+	req, err := http.NewRequest(method, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := (&http.Client{Timeout: timeout}).Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", method, u, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg := body
+		if len(msg) > 256 {
+			msg = msg[:256]
+		}
+		return body, fmt.Errorf("%s %s: %s: %s", method, u, resp.Status,
+			strings.TrimSpace(string(msg)))
+	}
+	return body, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,24 @@ import (
 	"github.com/fmg/seer/internal/obs"
 )
 
+// absent is what a family or probe the scraped daemon does not expose
+// prints as; every row must reach it rather than erroring or dividing
+// by zero.
+const absent = "—"
+
+// scrape fetches and parses base/metrics.
+func scrape(base string) (map[string]float64, error) {
+	body, err := call(http.MethodGet, base, "/metrics", 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := obs.ParseProm(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s/metrics: %w", base, err)
+	}
+	return vals, nil
+}
+
 // printMetrics scrapes base/metrics from a running seerd (or rumord)
 // and renders the paper-relevant series as a one-screen table: the §5
 // headline quantities first (hoard misses, miss-free hoard size, dirty
@@ -20,24 +39,10 @@ import (
 // registry, rumord vs seerd — is normal, never an error: whatever is
 // present renders, and absent families print as "—".
 func printMetrics(w io.Writer, base string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/metrics")
+	vals, err := scrape(base)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
-	}
-	vals, err := obs.ParseProm(resp.Body)
-	if err != nil {
-		return fmt.Errorf("parsing %s/metrics: %w", base, err)
-	}
-
-	// absent is what a family the scraped daemon does not expose prints
-	// as; every row below must reach it rather than erroring or
-	// dividing by zero.
-	const absent = "—"
 
 	get := func(name string) (float64, bool) {
 		v, ok := vals[name]

@@ -9,6 +9,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/fmg/seer/internal/obs/slo"
+	"github.com/fmg/seer/internal/supervise"
 )
 
 // traceSpan mirrors internal/obs's /debug/traces wire form, plus the
@@ -34,21 +37,13 @@ type traceSpan struct {
 // Unreachable daemons are skipped with a warning rather than failing
 // the whole render — a partial tree still localizes the slow hop.
 func fetchSpans(base, id string) ([]traceSpan, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	u := strings.TrimRight(base, "/") + "/debug/traces?trace=" + url.QueryEscape(id)
-	resp, err := client.Get(u)
+	body, err := call(http.MethodGet, base, "/debug/traces?trace="+url.QueryEscape(id), 5*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("GET %s: %s: %s", u, resp.Status,
-			strings.TrimSpace(string(body)))
-	}
 	var spans []traceSpan
-	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", u, err)
+	if err := json.Unmarshal(body, &spans); err != nil {
+		return nil, fmt.Errorf("decoding %s/debug/traces: %w", base, err)
 	}
 	return spans, nil
 }
@@ -132,69 +127,98 @@ func printTrace(w io.Writer, addrs, id string) error {
 	return nil
 }
 
-// sloResponse is the /debug/slo body (cmd/seerd handleDebugSLO).
-type sloResponse struct {
-	Threshold     float64 `json:"threshold"`
-	FastWindowSec float64 `json:"fast_window_sec"`
-	SlowWindowSec float64 `json:"slow_window_sec"`
-	Objectives    []struct {
-		Name     string  `json:"slo"`
-		Target   float64 `json:"target"`
-		Fast     float64 `json:"burn_fast"`
-		Slow     float64 `json:"burn_slow"`
-		Total    uint64  `json:"events_total"`
-		Bad      uint64  `json:"events_bad"`
-		Breached bool    `json:"breached"`
-	} `json:"objectives"`
-}
-
-// printSLO fetches /debug/slo and renders one row per objective.
+// printSLO renders the burn-rate monitors from the daemon's canonical
+// channels: each objective's fast- and slow-window burn from
+// seer_slo_burn_rate{slo,window} on /metrics, and its breach state from
+// the slo probe on /healthz. The windows and threshold are the slo
+// package's constants, which seerd runs with. An absent series or
+// probe prints "—", as in printMetrics.
 func printSLO(w io.Writer, base string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	u := strings.TrimRight(base, "/") + "/debug/slo"
-	resp, err := client.Get(u)
+	vals, err := scrape(base)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", u, resp.Status)
-	}
-	var sr sloResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return fmt.Errorf("decoding %s: %w", u, err)
-	}
-	fmt.Fprintf(w, "# %s — page threshold %.1f (fast %.0fs / slow %.0fs windows)\n",
-		u, sr.Threshold, sr.FastWindowSec, sr.SlowWindowSec)
-	fmt.Fprintf(w, "%-12s %7s %10s %10s %12s %10s %s\n",
-		"slo", "target", "burn_fast", "burn_slow", "events", "bad", "state")
-	for _, o := range sr.Objectives {
-		state := "ok"
-		if o.Breached {
-			state = "BREACHED"
+	burns := map[string]map[string]float64{} // slo → window → burn
+	for key, v := range vals {
+		labels, ok := strings.CutPrefix(key, "seer_slo_burn_rate{")
+		if !ok {
+			continue
 		}
-		fmt.Fprintf(w, "%-12s %6.2f%% %10.2f %10.2f %12d %10d %s\n",
-			o.Name, o.Target*100, o.Fast, o.Slow, o.Total, o.Bad, state)
+		name, window := labelValue(labels, "slo"), labelValue(labels, "window")
+		if burns[name] == nil {
+			burns[name] = map[string]float64{}
+		}
+		burns[name][window] = v
+	}
+	names := make([]string, 0, len(burns))
+	for name := range burns {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	// A 503 from /healthz still carries the report.
+	breached, probed := map[string]bool{}, false
+	body, _ := call(http.MethodGet, base, "/healthz", 5*time.Second)
+	var rep supervise.Report
+	if json.Unmarshal(body, &rep) == nil {
+		for _, p := range rep.Probes {
+			if p.Name != "slo" {
+				continue
+			}
+			probed = true
+			if _, list, ok := strings.Cut(p.Detail, ":"); ok {
+				for _, name := range strings.Fields(list) {
+					breached[name] = true
+				}
+			}
+		}
+	}
+
+	fmt.Fprintf(w, "# %s — page threshold %d (fast %s / slow %s windows)\n",
+		strings.TrimRight(base, "/"), slo.DefaultThreshold, slo.DefaultFastWindow, slo.DefaultSlowWindow)
+	fmt.Fprintf(w, "%-12s %10s %10s %s\n", "slo", "burn_fast", "burn_slow", "state")
+	if len(names) == 0 {
+		fmt.Fprintf(w, "%-12s %10s %10s %s\n", absent, absent, absent, absent)
+	}
+	cell := func(m map[string]float64, window string) string {
+		if v, ok := m[window]; ok {
+			return fmt.Sprintf("%.2f", v)
+		}
+		return absent
+	}
+	for _, name := range names {
+		state := absent
+		switch {
+		case breached[name]:
+			state = "BREACHED"
+		case probed:
+			state = "ok"
+		}
+		fmt.Fprintf(w, "%-12s %10s %10s %s\n",
+			name, cell(burns[name], "fast"), cell(burns[name], "slow"), state)
 	}
 	return nil
+}
+
+// labelValue returns the value of label in a Prometheus label list
+// (`a="x",b="y"}`), or "" when it is absent.
+func labelValue(labels, label string) string {
+	_, rest, ok := strings.Cut(labels, label+`="`)
+	if !ok {
+		return ""
+	}
+	v, _, _ := strings.Cut(rest, `"`)
+	return v
 }
 
 // captureFlight asks a daemon for a flight bundle (POST /debug/flight)
 // and prints the directory it was written to. The capture includes a
 // CPU profile, so the request takes a couple of seconds.
 func captureFlight(w io.Writer, base, reason string) error {
-	client := &http.Client{Timeout: time.Minute}
-	u := strings.TrimRight(base, "/") + "/debug/flight?reason=" + url.QueryEscape(reason)
-	resp, err := client.Post(u, "text/plain", nil)
+	body, err := call(http.MethodPost, base, "/debug/flight?reason="+url.QueryEscape(reason), time.Minute)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %s: %s", u, resp.Status,
-			strings.TrimSpace(string(body)))
-	}
-	fmt.Fprint(w, string(body))
-	return nil
+	_, err = w.Write(body)
+	return err
 }

@@ -23,17 +23,12 @@ type shardsResponse struct {
 // one row per shard: lifecycle state, health, event count, queue
 // occupancy, restart/replace history, stale serves, and sheds.
 func printShards(w io.Writer, base string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/shards")
+	body, err := call(http.MethodGet, base, "/shards", 5*time.Second)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s/shards: %s", base, resp.Status)
-	}
 	var sr shardsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := json.Unmarshal(body, &sr); err != nil {
 		return fmt.Errorf("decoding /shards: %w", err)
 	}
 	fmt.Fprintf(w, "# %s/shards — overall %s\n", strings.TrimRight(base, "/"), sr.Health)
@@ -56,22 +51,13 @@ func printShards(w io.Writer, base string) error {
 // finishes (final checkpoint written, replacement replayed), so the
 // printed response is the completed outcome.
 func drainShard(w io.Writer, base, arg string) error {
-	idx, err := strconv.Atoi(arg)
-	if err != nil {
+	if _, err := strconv.Atoi(arg); err != nil {
 		return fmt.Errorf("drain needs a numeric shard index, got %q", arg)
 	}
-	client := &http.Client{Timeout: 5 * time.Minute}
-	u := strings.TrimRight(base, "/") + "/shards/drain?shard=" + url.QueryEscape(arg)
-	resp, err := client.Post(u, "text/plain", nil)
+	body, err := call(http.MethodPost, base, "/shards/drain?shard="+url.QueryEscape(arg), 5*time.Minute)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("drain shard %d: %s: %s", idx, resp.Status,
-			strings.TrimSpace(string(body)))
-	}
-	fmt.Fprint(w, string(body))
-	return nil
+	_, err = w.Write(body)
+	return err
 }

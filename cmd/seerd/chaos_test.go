@@ -139,7 +139,7 @@ func TestChaosPipeline(t *testing.T) {
 	rt.Daemon.GatewayTimeoutMS = 300
 	p, stop := startTestPipeline(t, pipelineConfig{
 		Options: daemon.Options{Runtime: rt, Supervisor: supervise.Config{
-			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
+			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.1},
 			BreakAfter: 6,
 			Window:     time.Minute,
 			ResetAfter: 50 * time.Millisecond,

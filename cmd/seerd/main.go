@@ -19,11 +19,11 @@
 // arrive through POST /events?user=NAME.
 //
 // Endpoints: /plan (inclusion order), /hoard (chosen files at the
-// budget), /clusters, /stats, /miss?path=... (POST; record a hoard
+// budget), /clusters, /miss?path=... (POST; record a hoard
 // miss and force the file's project into future plans, §4.4), each
 // taking ?user= for routing (optional with one shard); /shards and
 // POST /shards/drain?shard=N; /healthz + /readyz (JSON health detail);
-// /metrics, /debug/traces, /debug/config, /debug/slo. Without -listen,
+// /metrics, /debug/traces, /debug/config. Without -listen,
 // seerd prints the hoard list once and exits. With -debug-addr, a
 // second listener serves net/http/pprof profiles, /shards, and the same
 // health and observability endpoints. With -rumor, the CheapRumor

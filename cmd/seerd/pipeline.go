@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"time"
 
@@ -115,7 +114,7 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 			return enc.Encode(p.mgr.Report())
 		})
 	}
-	p.buildSLO(rt)
+	p.buildSLO()
 
 	if rt.Daemon.Shards == 1 && rt.Daemon.Follow && rt.Daemon.Strace != "-" {
 		d.AddStage("tailer", p.tailStage)
@@ -128,9 +127,6 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 		p.master = d.MountRumor(mainMux)
 	}
 	debugMux.HandleFunc("/shards", p.gw.HandleShards)
-	for _, mux := range []*http.ServeMux{mainMux, debugMux} {
-		mux.HandleFunc("/debug/slo", p.handleDebugSLO)
-	}
 	d.AddListeners(mainMux, debugMux)
 	d.AddStage("slo", func(ctx context.Context) error {
 		p.slo.Run(ctx)
@@ -150,7 +146,7 @@ func newPipeline(cfg pipelineConfig) *pipeline {
 // applyRuntime pushes an accepted reload into the gateway and the
 // shards. Manager.ApplyRuntime reaches only serving shards, so a SIGHUP
 // landing mid-drain can neither resurrect the draining shard nor retune
-// a closed one (its replacement opens with the new runtime instead).
+// a closed one (the drain applies the new runtime to its replacement).
 func (p *pipeline) applyRuntime(next config.Runtime) []any {
 	p.gw.SetPolicy(shard.PolicyFromRuntime(next))
 	skipped := p.mgr.ApplyRuntime(next)
@@ -173,17 +169,14 @@ func (p *pipeline) shardsProbe() supervise.Probe {
 }
 
 // buildSLO assembles the burn-rate monitor over the gateway's request
-// histograms (plus the rumor client's, when configured) and hooks a
-// breach to an automatic flight capture. Bad events are route errors
-// plus stale serves: a stale answer means the fresh path failed, so it
-// burns budget even though the client got bytes. The stale count is
+// histograms (plus the rumor client's, when configured), at the slo
+// package's default windows and threshold, and hooks a breach to an
+// automatic flight capture. Bad events are route errors plus stale
+// serves: a stale answer means the fresh path failed, so it burns
+// budget even though the client got bytes. The stale count is
 // process-wide, so a burn on one endpoint conservatively shows on both.
-func (p *pipeline) buildSLO(rt config.Runtime) {
-	cfg := slo.Config{
-		FastWindow: time.Duration(rt.Daemon.SLOFastWindowSec) * time.Second,
-		SlowWindow: time.Duration(rt.Daemon.SLOSlowWindowSec) * time.Second,
-		Threshold:  float64(rt.Daemon.SLOBurnThreshold),
-	}
+func (p *pipeline) buildSLO() {
+	var cfg slo.Config
 	if p.Flight != nil {
 		cfg.OnBreach = func(name string, fast, slow float64) {
 			dir, err := p.Flight.TryCapture(fmt.Sprintf(
@@ -207,20 +200,6 @@ func (p *pipeline) buildSLO(rt config.Runtime) {
 	}
 	mon.InstrumentOn(p.Reg)
 	p.slo = mon
-}
-
-// handleDebugSLO serves the burn-rate view seerctl slo renders.
-func (p *pipeline) handleDebugSLO(w http.ResponseWriter, req *http.Request) {
-	fast, slow := p.slo.Windows()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Threshold     float64               `json:"threshold"`
-		FastWindowSec float64               `json:"fast_window_sec"`
-		SlowWindowSec float64               `json:"slow_window_sec"`
-		Objectives    []slo.ObjectiveStatus `json:"objectives"`
-	}{p.slo.Threshold(), fast.Seconds(), slow.Seconds(), p.slo.Status()})
 }
 
 // close drains every shard — stop its stages, fold its queue, write its

@@ -25,7 +25,7 @@ import (
 // testSupervisorConfig is a backoff policy tight enough for tests.
 func testSupervisorConfig() supervise.Config {
 	return supervise.Config{
-		Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
+		Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.1},
 		BreakAfter: 50,
 		Window:     time.Minute,
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/fmg/seer/internal/config"
 	"github.com/fmg/seer/internal/daemon"
+	"github.com/fmg/seer/internal/obs/slo"
 	"github.com/fmg/seer/internal/simfs"
 	"github.com/fmg/seer/internal/supervise"
 )
@@ -50,10 +51,9 @@ func TestSLOBreachDegradesHealthAndCapturesFlight(t *testing.T) {
 	if len(br) != 1 || br[0] != "rumor-sync" {
 		t.Fatalf("Breached() = %v, want [rumor-sync]", br)
 	}
-	fast, _ := sp.slo.Windows()
-	if burn := sp.slo.Burn("rumor-sync", fast); burn < sp.slo.Threshold() {
-		t.Fatalf("fast burn %.1f under threshold %.1f after total failure",
-			burn, sp.slo.Threshold())
+	if burn := sp.slo.Burn("rumor-sync", slo.DefaultFastWindow); burn < slo.DefaultThreshold {
+		t.Fatalf("fast burn %.1f under threshold %d after total failure",
+			burn, slo.DefaultThreshold)
 	}
 
 	// The burn is a live series on the pipeline's registry.

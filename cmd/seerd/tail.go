@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -43,7 +44,7 @@ type lineSplitter struct {
 	max      int
 	partial  []byte
 	skipping bool
-	log      *obs.Logger
+	log      *slog.Logger
 }
 
 // push consumes one chunk; complete reports whether it ended in a

@@ -320,74 +320,99 @@ func ParseControl(r io.Reader, p *Params) (*Control, error) {
 	return c, nil
 }
 
+// field is a parse/render pair over one field of a settings struct T,
+// the common core of every knob and param row.
+type field[T any] struct {
+	set func(*T, string) error
+	get func(*T) string
+}
+
+// fieldOf builds the field that ptr selects, parsed by parse and
+// rendered by format.
+func fieldOf[T, V any](ptr func(*T) *V, parse func(string) (V, error), format func(V) string) field[T] {
+	return field[T]{
+		set: func(t *T, s string) error {
+			v, err := parse(s)
+			if err == nil {
+				*ptr(t) = v
+			}
+			return err
+		},
+		get: func(t *T) string { return format(*ptr(t)) },
+	}
+}
+
+func parseString(s string) (string, error) { return s, nil }
+func formatString(s string) string         { return s }
+func parseInt64(s string) (int64, error)   { return strconv.ParseInt(s, 10, 64) }
+func formatInt64(v int64) string           { return strconv.FormatInt(v, 10) }
+func parseUint64(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }
+func formatUint64(v uint64) string         { return strconv.FormatUint(v, 10) }
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+func formatFloat(v float64) string         { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// param is one row of the paper-parameter table: the name a `param`
+// directive and /debug/config use, and the Params field it reads and
+// sets.
+type param struct {
+	name string
+	// hot params take effect on a live reload: they are read at
+	// clustering, plan or fill time (or when new investigator relations
+	// register), so a SetParams plus cache invalidation suffices. The
+	// rest are frozen into the observer or neighbor table at
+	// construction, so a reload may not change them.
+	hot bool
+	field[Params]
+}
+
+// params is the parameter table, in rendering order. ClusterChurnPct
+// has no row: it is the cluster-churn-threshold knob.
+var params = []param{
+	{name: "NeighborTableSize",
+		field: fieldOf(func(p *Params) *int { return &p.NeighborTableSize }, strconv.Atoi, strconv.Itoa)},
+	{name: "Window",
+		field: fieldOf(func(p *Params) *int { return &p.Window }, strconv.Atoi, strconv.Itoa)},
+	{name: "KNear", hot: true,
+		field: fieldOf(func(p *Params) *int { return &p.KNear }, strconv.Atoi, strconv.Itoa)},
+	{name: "KFar", hot: true,
+		field: fieldOf(func(p *Params) *int { return &p.KFar }, strconv.Atoi, strconv.Itoa)},
+	{name: "FrequentFileFraction",
+		field: fieldOf(func(p *Params) *float64 { return &p.FrequentFileFraction }, parseFloat, formatFloat)},
+	{name: "FrequentFileMinRefs",
+		field: fieldOf(func(p *Params) *int { return &p.FrequentFileMinRefs }, strconv.Atoi, strconv.Itoa)},
+	{name: "AgeLimit",
+		field: fieldOf(func(p *Params) *uint64 { return &p.AgeLimit }, parseUint64, formatUint64)},
+	{name: "DeletionDelay",
+		field: fieldOf(func(p *Params) *int { return &p.DeletionDelay }, strconv.Atoi, strconv.Itoa)},
+	{name: "MeaninglessRatio",
+		field: fieldOf(func(p *Params) *float64 { return &p.MeaninglessRatio }, parseFloat, formatFloat)},
+	{name: "MeaninglessMinLearned",
+		field: fieldOf(func(p *Params) *int { return &p.MeaninglessMinLearned }, strconv.Atoi, strconv.Itoa)},
+	{name: "DirDistanceWeight", hot: true,
+		field: fieldOf(func(p *Params) *float64 { return &p.DirDistanceWeight }, parseFloat, formatFloat)},
+	{name: "InvestigatorWeight", hot: true,
+		field: fieldOf(func(p *Params) *float64 { return &p.InvestigatorWeight }, parseFloat, formatFloat)},
+	{name: "SkipUnfittingClusters", hot: true,
+		field: fieldOf(func(p *Params) *bool { return &p.SkipUnfittingClusters }, strconv.ParseBool, strconv.FormatBool)},
+	{name: "HoardSize", hot: true,
+		field: fieldOf(func(p *Params) *int64 { return &p.HoardSize }, parseInt64, formatInt64)},
+	{name: "AutoTempMinCreates",
+		field: fieldOf(func(p *Params) *int { return &p.AutoTempMinCreates }, strconv.Atoi, strconv.Itoa)},
+	{name: "AutoTempRatio",
+		field: fieldOf(func(p *Params) *float64 { return &p.AutoTempRatio }, parseFloat, formatFloat)},
+	{name: "DistanceMode",
+		field: fieldOf(func(p *Params) *int { return &p.DistanceMode }, strconv.Atoi, strconv.Itoa)},
+}
+
+// setParam applies one `param Name Value` directive to p.
 func setParam(p *Params, name, value string) error {
-	asInt := func(dst *int) error {
-		v, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("param %s: %w", name, err)
+	for i := range params {
+		if params[i].name == name {
+			if err := params[i].set(p, value); err != nil {
+				return fmt.Errorf("param %s: %w", name, err)
+			}
+			return nil
 		}
-		*dst = v
-		return nil
 	}
-	asFloat := func(dst *float64) error {
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return fmt.Errorf("param %s: %w", name, err)
-		}
-		*dst = v
-		return nil
-	}
-	switch name {
-	case "NeighborTableSize":
-		return asInt(&p.NeighborTableSize)
-	case "Window":
-		return asInt(&p.Window)
-	case "KNear":
-		return asInt(&p.KNear)
-	case "KFar":
-		return asInt(&p.KFar)
-	case "FrequentFileFraction":
-		return asFloat(&p.FrequentFileFraction)
-	case "FrequentFileMinRefs":
-		return asInt(&p.FrequentFileMinRefs)
-	case "AgeLimit":
-		v, err := strconv.ParseUint(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("param AgeLimit: %w", err)
-		}
-		p.AgeLimit = v
-		return nil
-	case "DeletionDelay":
-		return asInt(&p.DeletionDelay)
-	case "MeaninglessRatio":
-		return asFloat(&p.MeaninglessRatio)
-	case "MeaninglessMinLearned":
-		return asInt(&p.MeaninglessMinLearned)
-	case "DirDistanceWeight":
-		return asFloat(&p.DirDistanceWeight)
-	case "InvestigatorWeight":
-		return asFloat(&p.InvestigatorWeight)
-	case "AutoTempMinCreates":
-		return asInt(&p.AutoTempMinCreates)
-	case "DistanceMode":
-		return asInt(&p.DistanceMode)
-	case "AutoTempRatio":
-		return asFloat(&p.AutoTempRatio)
-	case "SkipUnfittingClusters":
-		v, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("param SkipUnfittingClusters: %w", err)
-		}
-		p.SkipUnfittingClusters = v
-		return nil
-	case "HoardSize":
-		v, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("param HoardSize: %w", err)
-		}
-		p.HoardSize = v
-		return nil
-	default:
-		return fmt.Errorf("unknown param %q", name)
-	}
+	return fmt.Errorf("unknown param %q", name)
 }

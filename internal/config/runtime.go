@@ -49,30 +49,12 @@ type Daemon struct {
 	// Tracing toggles span recording; off, /debug/traces and exemplars
 	// stop accumulating but keep serving what was recorded. Hot.
 	Tracing bool `json:"tracing"`
-	// SLOFastWindowSec / SLOSlowWindowSec are the burn-rate windows
-	// (page-fast, confirm-slow). Structural.
-	SLOFastWindowSec int `json:"slo_fast_window_sec,omitempty"`
-	SLOSlowWindowSec int `json:"slo_slow_window_sec,omitempty"`
-	// SLOBurnThreshold is the fast-window burn rate that marks an
-	// objective breached (degraded health, flight capture). Structural.
-	SLOBurnThreshold int `json:"slo_burn_threshold,omitempty"`
 	// FlightDir is where flight-recorder bundles are written; ""
 	// disables the recorder. Structural.
 	FlightDir string `json:"flight_dir,omitempty"`
-	// FlightMinIntervalSec debounces automatic (SLO-breach) flight
-	// captures. Structural.
-	FlightMinIntervalSec int `json:"flight_min_interval_sec,omitempty"`
-	// GatewayRetries bounds gateway attempts per request across
-	// re-routes on transient shard states. Hot.
-	GatewayRetries int `json:"gateway_retries,omitempty"`
-	// GatewayRetryBaseMS is the first retry backoff; it doubles per
-	// attempt with jitter. Hot.
-	GatewayRetryBaseMS int `json:"gateway_retry_base_ms,omitempty"`
 	// GatewayTimeoutMS bounds one whole gateway request including
 	// retries. Hot.
 	GatewayTimeoutMS int `json:"gateway_timeout_ms,omitempty"`
-	// DrainTimeoutMS bounds one shard drain/migrate. Hot.
-	DrainTimeoutMS int `json:"drain_timeout_ms,omitempty"`
 	// QueueCap bounds each shard's ingestion queue. Hot: a reload
 	// resizes the live queues without dropping queued events.
 	QueueCap int `json:"queue_cap"`
@@ -83,7 +65,7 @@ type Daemon struct {
 	HoardBudgetMB int64 `json:"hoard_budget_mb"`
 	// LogLevel is debug, info, warn, or error. Hot.
 	LogLevel string `json:"log_level"`
-	// LogFormat is text (key=value) or json. Hot.
+	// LogFormat is text (slog's key=value lines) or json. Hot.
 	LogFormat string `json:"log_format"`
 }
 
@@ -93,8 +75,8 @@ type Daemon struct {
 // hot-reloadable.
 type Admission struct {
 	// PlanMaxInFlight bounds the concurrent requests one shard admits
-	// across its routed endpoints (/plan, /hoard, /clusters, /stats,
-	// /miss, /events).
+	// across its routed endpoints (/plan, /hoard, /clusters, /miss,
+	// /events).
 	PlanMaxInFlight int `json:"plan_max_inflight"`
 	// RumorMaxInFlight bounds concurrent /rumor/ requests.
 	RumorMaxInFlight int `json:"rumor_max_inflight"`
@@ -114,22 +96,15 @@ func DefaultRuntime() Runtime {
 	return Runtime{
 		Params: Defaults(),
 		Daemon: Daemon{
-			Strace:               "-",
-			Shards:               1,
-			QueueCap:             8192,
-			QueueBlockMS:         100,
-			HoardBudgetMB:        512,
-			LogLevel:             "info",
-			LogFormat:            "text",
-			GatewayRetries:       4,
-			GatewayRetryBaseMS:   25,
-			GatewayTimeoutMS:     30_000,
-			DrainTimeoutMS:       60_000,
-			Tracing:              true,
-			SLOFastWindowSec:     300,
-			SLOSlowWindowSec:     3600,
-			SLOBurnThreshold:     14,
-			FlightMinIntervalSec: 60,
+			Strace:           "-",
+			Shards:           1,
+			QueueCap:         8192,
+			QueueBlockMS:     100,
+			HoardBudgetMB:    512,
+			LogLevel:         "info",
+			LogFormat:        "text",
+			GatewayTimeoutMS: 30_000,
+			Tracing:          true,
 		},
 		Admit: Admission{
 			PlanMaxInFlight:  16,
@@ -161,23 +136,8 @@ func (r Runtime) Validate() error {
 		return fmt.Errorf("config: shard count %d < 1", d.Shards)
 	case d.Shards > 1024:
 		return fmt.Errorf("config: shard count %d > 1024", d.Shards)
-	case d.GatewayRetries < 0:
-		return fmt.Errorf("config: negative gateway retries %d", d.GatewayRetries)
-	case d.GatewayRetryBaseMS < 0:
-		return fmt.Errorf("config: negative gateway retry base %d ms", d.GatewayRetryBaseMS)
 	case d.GatewayTimeoutMS < 0:
 		return fmt.Errorf("config: negative gateway timeout %d ms", d.GatewayTimeoutMS)
-	case d.DrainTimeoutMS < 0:
-		return fmt.Errorf("config: negative drain timeout %d ms", d.DrainTimeoutMS)
-	case d.SLOFastWindowSec < 0 || d.SLOSlowWindowSec < 0:
-		return fmt.Errorf("config: negative SLO window")
-	case d.SLOFastWindowSec > 0 && d.SLOSlowWindowSec > 0 && d.SLOFastWindowSec > d.SLOSlowWindowSec:
-		return fmt.Errorf("config: SLO fast window %ds longer than slow window %ds",
-			d.SLOFastWindowSec, d.SLOSlowWindowSec)
-	case d.SLOBurnThreshold < 0:
-		return fmt.Errorf("config: negative SLO burn threshold %d", d.SLOBurnThreshold)
-	case d.FlightMinIntervalSec < 0:
-		return fmt.Errorf("config: negative flight min interval %d", d.FlightMinIntervalSec)
 	}
 	switch d.LogLevel {
 	case "debug", "info", "warn", "error":
@@ -215,205 +175,100 @@ const (
 	ForSeerctl
 )
 
-// Knob is one named tunable: the single definition behind a
+// knob is one named tunable: the single definition behind a
 // command-line flag, a config-file key, the /debug/config rendering,
-// and the reload diff. Name doubles as both the flag name and the file
+// and the reload diff. name doubles as both the flag name and the file
 // key, so `seerd -queue 4096` and a `queue 4096` file line are the same
 // setting.
-type Knob struct {
-	// Name is the flag name and config-file key.
-	Name string
-	// Usage is the flag help text.
-	Usage string
-	// Structural knobs cannot change on a live reload (listen
+type knob struct {
+	name, usage string
+	// structural knobs cannot change on a live reload (listen
 	// addresses, input bindings); a reload that alters one is rejected.
-	Structural bool
-	// Bool marks knobs registered as boolean flags (bare -follow).
-	Bool bool
-	// Secret knobs render as REDACTED at /debug/config. None of the
-	// current knobs are secret; the hook exists so a future credential
-	// field cannot leak by default.
-	Secret bool
-	// Daemons is the set of commands exposing this knob as a flag.
-	Daemons DaemonMask
-	// Set parses value into r; Get renders the current value.
-	Set func(r *Runtime, value string) error
-	Get func(r *Runtime) string
-}
-
-// intKnob builds a Set/Get pair over an int field.
-func intKnob(f func(*Runtime) *int) (func(*Runtime, string) error, func(*Runtime) string) {
-	return func(r *Runtime, v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			*f(r) = n
-			return nil
-		}, func(r *Runtime) string {
-			return strconv.Itoa(*f(r))
-		}
-}
-
-// int64Knob builds a Set/Get pair over an int64 field.
-func int64Knob(f func(*Runtime) *int64) (func(*Runtime, string) error, func(*Runtime) string) {
-	return func(r *Runtime, v string) error {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return err
-			}
-			*f(r) = n
-			return nil
-		}, func(r *Runtime) string {
-			return strconv.FormatInt(*f(r), 10)
-		}
-}
-
-// strKnob builds a Set/Get pair over a string field.
-func strKnob(f func(*Runtime) *string) (func(*Runtime, string) error, func(*Runtime) string) {
-	return func(r *Runtime, v string) error {
-			*f(r) = v
-			return nil
-		}, func(r *Runtime) string {
-			return *f(r)
-		}
-}
-
-// boolKnob builds a Set/Get pair over a bool field.
-func boolKnob(f func(*Runtime) *bool) (func(*Runtime, string) error, func(*Runtime) string) {
-	return func(r *Runtime, v string) error {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return err
-			}
-			*f(r) = b
-			return nil
-		}, func(r *Runtime) string {
-			return strconv.FormatBool(*f(r))
-		}
+	structural bool
+	// isBool marks knobs registered as boolean flags (bare -follow).
+	isBool bool
+	// daemons is the set of commands exposing this knob as a flag.
+	daemons DaemonMask
+	field[Runtime]
 }
 
 // knobs is the full knob table. Order is the /debug/config and
 // flag-help order.
-var knobs = buildKnobs()
+var knobs = []knob{
+	{name: "strace", usage: "strace output file (- = stdin)",
+		structural: true, daemons: ForSeerd,
+		field: fieldOf(func(r *Runtime) *string { return &r.Daemon.Strace }, parseString, formatString)},
+	{name: "listen", usage: "HTTP listen address",
+		structural: true, daemons: ForSeerd | ForRumord,
+		field: fieldOf(func(r *Runtime) *string { return &r.Daemon.Listen }, parseString, formatString)},
+	{name: "debug-addr", usage: "optional listen address for pprof and debug endpoints",
+		structural: true, daemons: ForSeerd | ForRumord,
+		field: fieldOf(func(r *Runtime) *string { return &r.Daemon.DebugAddr }, parseString, formatString)},
+	{name: "follow", usage: "keep tailing the strace file for appended lines (requires -listen)",
+		structural: true, isBool: true, daemons: ForSeerd,
+		field: fieldOf(func(r *Runtime) *bool { return &r.Daemon.Follow }, strconv.ParseBool, strconv.FormatBool)},
+	{name: "rumor", usage: "serve the CheapRumor replication-master endpoints under /rumor/ (requires -listen)",
+		structural: true, isBool: true, daemons: ForSeerd,
+		field: fieldOf(func(r *Runtime) *bool { return &r.Daemon.Rumor }, strconv.ParseBool, strconv.FormatBool)},
+	{name: "shards", usage: "host this many fault-isolated user shards behind the gateway (with 1, the strace input feeds it; more require -listen)",
+		structural: true, daemons: ForSeerd,
+		field: fieldOf(func(r *Runtime) *int { return &r.Daemon.Shards }, strconv.Atoi, strconv.Itoa)},
+	{name: "shard-dir", usage: "directory for per-shard snapshot files shard-NNN.db: restored at start, checkpointed while serving and at exit (empty = no checkpoints)",
+		structural: true, daemons: ForSeerd,
+		field: fieldOf(func(r *Runtime) *string { return &r.Daemon.ShardDir }, parseString, formatString)},
+	{name: "rumor-url", usage: "upstream replication-master base URL for traced hoard-fill syncs (empty = no sync)",
+		structural: true, daemons: ForSeerd,
+		field: fieldOf(func(r *Runtime) *string { return &r.Daemon.RumorURL }, parseString, formatString)},
+	{name: "flight-dir", usage: "directory for flight-recorder bundles (empty = recorder disabled)",
+		structural: true, daemons: ForSeerd | ForRumord,
+		field: fieldOf(func(r *Runtime) *string { return &r.Daemon.FlightDir }, parseString, formatString)},
 
-func buildKnobs() []Knob {
-	type spec struct {
-		name, usage       string
-		structural, bool_ bool
-		daemons           DaemonMask
-		set               func(*Runtime, string) error
-		get               func(*Runtime) string
-	}
-	var out []Knob
-	add := func(s spec) {
-		out = append(out, Knob{
-			Name: s.name, Usage: s.usage, Structural: s.structural,
-			Bool: s.bool_, Daemons: s.daemons, Set: s.set, Get: s.get,
-		})
-	}
-	var set func(*Runtime, string) error
-	var get func(*Runtime) string
+	{name: "queue", usage: "bounded ingestion queue capacity of each shard",
+		daemons: ForSeerd,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Daemon.QueueCap }, strconv.Atoi, strconv.Itoa)},
+	{name: "queue-block-ms", usage: "how long an overflowing queue put blocks before shedding the oldest event",
+		daemons: ForSeerd,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Daemon.QueueBlockMS }, strconv.Atoi, strconv.Itoa)},
+	{name: "budget", usage: "hoard budget in MB",
+		daemons: ForSeerd | ForSeerctl,
+		field:   fieldOf(func(r *Runtime) *int64 { return &r.Daemon.HoardBudgetMB }, parseInt64, formatInt64)},
+	{name: "log-level", usage: "log level: debug, info, warn, or error",
+		daemons: ForSeerd | ForRumord,
+		field:   fieldOf(func(r *Runtime) *string { return &r.Daemon.LogLevel }, parseString, formatString)},
+	{name: "log-format", usage: "log format: text (key=value) or json",
+		daemons: ForSeerd | ForRumord,
+		field:   fieldOf(func(r *Runtime) *string { return &r.Daemon.LogFormat }, parseString, formatString)},
+	{name: "tracing", usage: "record request spans (-tracing=false disables; exemplars and /debug/traces stop accumulating)",
+		isBool: true, daemons: ForSeerd | ForRumord,
+		field: fieldOf(func(r *Runtime) *bool { return &r.Daemon.Tracing }, strconv.ParseBool, strconv.FormatBool)},
+	{name: "gateway-timeout-ms", usage: "whole-request gateway timeout in ms including retries",
+		daemons: ForSeerd,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Daemon.GatewayTimeoutMS }, strconv.Atoi, strconv.Itoa)},
+	{name: "cluster-churn-threshold", usage: "incremental clustering churn threshold as a percent of tracked files; above it the correlator falls back to a full rebuild (0 = always rebuild)",
+		daemons: ForSeerd,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Params.ClusterChurnPct }, strconv.Atoi, strconv.Itoa)},
 
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.Strace })
-	add(spec{name: "strace", usage: "strace output file (- = stdin)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.Listen })
-	add(spec{name: "listen", usage: "HTTP listen address",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.DebugAddr })
-	add(spec{name: "debug-addr", usage: "optional listen address for pprof and debug endpoints",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Follow })
-	add(spec{name: "follow", usage: "keep tailing the strace file for appended lines (requires -listen)",
-		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
-	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Rumor })
-	add(spec{name: "rumor", usage: "serve the CheapRumor replication-master endpoints under /rumor/ (requires -listen)",
-		structural: true, bool_: true, daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.Shards })
-	add(spec{name: "shards", usage: "host this many fault-isolated user shards behind the gateway (with 1, the strace input feeds it; more require -listen)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.ShardDir })
-	add(spec{name: "shard-dir", usage: "directory for per-shard snapshot files shard-NNN.db: restored at start, checkpointed while serving and at exit (empty = no checkpoints)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.RumorURL })
-	add(spec{name: "rumor-url", usage: "upstream replication-master base URL for traced hoard-fill syncs (empty = no sync)",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.FlightDir })
-	add(spec{name: "flight-dir", usage: "directory for flight-recorder bundles (empty = recorder disabled)",
-		structural: true, daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.FlightMinIntervalSec })
-	add(spec{name: "flight-min-interval-sec", usage: "min seconds between automatic (SLO-breach) flight captures",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOFastWindowSec })
-	add(spec{name: "slo-fast-window-sec", usage: "fast (paging) SLO burn-rate window in seconds",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOSlowWindowSec })
-	add(spec{name: "slo-slow-window-sec", usage: "slow (confirming) SLO burn-rate window in seconds",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.SLOBurnThreshold })
-	add(spec{name: "slo-burn-threshold", usage: "fast-window burn rate that marks an SLO breached",
-		structural: true, daemons: ForSeerd, set: set, get: get})
-
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueCap })
-	add(spec{name: "queue", usage: "bounded ingestion queue capacity of each shard",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.QueueBlockMS })
-	add(spec{name: "queue-block-ms", usage: "how long an overflowing queue put blocks before shedding the oldest event",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = int64Knob(func(r *Runtime) *int64 { return &r.Daemon.HoardBudgetMB })
-	add(spec{name: "budget", usage: "hoard budget in MB",
-		daemons: ForSeerd | ForSeerctl, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.LogLevel })
-	add(spec{name: "log-level", usage: "log level: debug, info, warn, or error",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = strKnob(func(r *Runtime) *string { return &r.Daemon.LogFormat })
-	add(spec{name: "log-format", usage: "log format: text (key=value) or json",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = boolKnob(func(r *Runtime) *bool { return &r.Daemon.Tracing })
-	add(spec{name: "tracing", usage: "record request spans (-tracing=false disables; exemplars and /debug/traces stop accumulating)",
-		bool_: true, daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.GatewayRetries })
-	add(spec{name: "gateway-retries", usage: "max gateway attempts per request across shard re-routes on transient errors",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.GatewayRetryBaseMS })
-	add(spec{name: "gateway-retry-base-ms", usage: "first gateway retry backoff in ms (doubles per attempt, jittered)",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.GatewayTimeoutMS })
-	add(spec{name: "gateway-timeout-ms", usage: "whole-request gateway timeout in ms including retries",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Daemon.DrainTimeoutMS })
-	add(spec{name: "drain-timeout-ms", usage: "shard drain/migrate timeout in ms",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Params.ClusterChurnPct })
-	add(spec{name: "cluster-churn-threshold", usage: "incremental clustering churn threshold as a percent of tracked files; above it the correlator falls back to a full rebuild (0 = always rebuild)",
-		daemons: ForSeerd, set: set, get: get})
-
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.PlanMaxInFlight })
-	add(spec{name: "admit-plan-inflight", usage: "max concurrent requests per shard across its routed endpoints (0 = unlimited)",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.RumorMaxInFlight })
-	add(spec{name: "admit-rumor-inflight", usage: "max concurrent /rumor/ requests (0 = unlimited)",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MaxQueuePct })
-	add(spec{name: "admit-queue-pct", usage: "shed a shard's requests while its ingestion queue is at least this percent full (0 = disabled)",
-		daemons: ForSeerd, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.MaxLatencyMS })
-	add(spec{name: "admit-latency-ms", usage: "shed requests while recent endpoint latency exceeds this EWMA in ms (0 = disabled)",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
-	set, get = intKnob(func(r *Runtime) *int { return &r.Admit.RetryAfterSec })
-	add(spec{name: "admit-retry-after", usage: "Retry-After seconds advertised on shed (429) responses",
-		daemons: ForSeerd | ForRumord, set: set, get: get})
-	return out
+	{name: "admit-plan-inflight", usage: "max concurrent requests per shard across its routed endpoints (0 = unlimited)",
+		daemons: ForSeerd,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Admit.PlanMaxInFlight }, strconv.Atoi, strconv.Itoa)},
+	{name: "admit-rumor-inflight", usage: "max concurrent /rumor/ requests (0 = unlimited)",
+		daemons: ForSeerd | ForRumord,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Admit.RumorMaxInFlight }, strconv.Atoi, strconv.Itoa)},
+	{name: "admit-queue-pct", usage: "shed a shard's requests while its ingestion queue is at least this percent full (0 = disabled)",
+		daemons: ForSeerd,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Admit.MaxQueuePct }, strconv.Atoi, strconv.Itoa)},
+	{name: "admit-latency-ms", usage: "shed requests while recent endpoint latency exceeds this EWMA in ms (0 = disabled)",
+		daemons: ForSeerd | ForRumord,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Admit.MaxLatencyMS }, strconv.Atoi, strconv.Itoa)},
+	{name: "admit-retry-after", usage: "Retry-After seconds advertised on shed (429) responses",
+		daemons: ForSeerd | ForRumord,
+		field:   fieldOf(func(r *Runtime) *int { return &r.Admit.RetryAfterSec }, strconv.Atoi, strconv.Itoa)},
 }
 
-// Knobs returns the knob table (shared; do not mutate).
-func Knobs() []Knob { return knobs }
-
-// KnobByName returns the named knob, or nil.
-func KnobByName(name string) *Knob {
+// knobByName returns the named knob, or nil.
+func knobByName(name string) *knob {
 	for i := range knobs {
-		if knobs[i].Name == name {
+		if knobs[i].name == name {
 			return &knobs[i]
 		}
 	}
@@ -433,19 +288,19 @@ type FlagSet interface {
 func RegisterFlags(fs FlagSet, r *Runtime, mask DaemonMask) {
 	for i := range knobs {
 		k := &knobs[i]
-		if k.Daemons&mask == 0 {
+		if k.daemons&mask == 0 {
 			continue
 		}
-		usage := fmt.Sprintf("%s (default %q)", k.Usage, k.Get(r))
-		if k.Bool {
-			fs.BoolFunc(k.Name, usage, func(v string) error {
+		usage := fmt.Sprintf("%s (default %q)", k.usage, k.get(r))
+		if k.isBool {
+			fs.BoolFunc(k.name, usage, func(v string) error {
 				if v == "" {
 					v = "true"
 				}
-				return k.Set(r, v)
+				return k.set(r, v)
 			})
 		} else {
-			fs.Func(k.Name, usage, func(v string) error { return k.Set(r, v) })
+			fs.Func(k.name, usage, func(v string) error { return k.set(r, v) })
 		}
 	}
 }
@@ -483,14 +338,14 @@ func ApplyFile(r *Runtime, src io.Reader) error {
 				return errf("%v", err)
 			}
 		default:
-			k := KnobByName(fields[0])
+			k := knobByName(fields[0])
 			if k == nil {
 				return errf("unknown key %q", fields[0])
 			}
 			if len(fields) != 2 {
 				return errf("%s wants exactly one value", fields[0])
 			}
-			if err := k.Set(r, fields[1]); err != nil {
+			if err := k.set(r, fields[1]); err != nil {
 				return errf("%s: %v", fields[0], err)
 			}
 		}
@@ -498,126 +353,48 @@ func ApplyFile(r *Runtime, src io.Reader) error {
 	return sc.Err()
 }
 
-// hotParams names the Params fields that take effect on a live reload:
-// they are read at clustering/plan/fill time (or when new investigator
-// relations register), so a SetParams + cache invalidation suffices.
-// Every other param is frozen into the observer or neighbor table at
-// construction and is treated as structural.
-var hotParams = map[string]bool{
-	"KNear":                 true,
-	"KFar":                  true,
-	"DirDistanceWeight":     true,
-	"InvestigatorWeight":    true,
-	"SkipUnfittingClusters": true,
-	"HoardSize":             true,
-}
-
-// paramNames lists every Params field accepted by the `param`
-// directive, in rendering order.
-var paramNames = []string{
-	"NeighborTableSize", "Window", "KNear", "KFar",
-	"FrequentFileFraction", "FrequentFileMinRefs", "AgeLimit",
-	"DeletionDelay", "MeaninglessRatio", "MeaninglessMinLearned",
-	"DirDistanceWeight", "InvestigatorWeight", "SkipUnfittingClusters",
-	"HoardSize", "AutoTempMinCreates", "AutoTempRatio", "DistanceMode",
-}
-
-// ParamNames returns the accepted `param` directive names.
-func ParamNames() []string { return append([]string(nil), paramNames...) }
-
-// ParamValue renders the named Params field, or "" for unknown names.
-func ParamValue(p Params, name string) string {
-	switch name {
-	case "NeighborTableSize":
-		return strconv.Itoa(p.NeighborTableSize)
-	case "Window":
-		return strconv.Itoa(p.Window)
-	case "KNear":
-		return strconv.Itoa(p.KNear)
-	case "KFar":
-		return strconv.Itoa(p.KFar)
-	case "FrequentFileFraction":
-		return strconv.FormatFloat(p.FrequentFileFraction, 'g', -1, 64)
-	case "FrequentFileMinRefs":
-		return strconv.Itoa(p.FrequentFileMinRefs)
-	case "AgeLimit":
-		return strconv.FormatUint(p.AgeLimit, 10)
-	case "DeletionDelay":
-		return strconv.Itoa(p.DeletionDelay)
-	case "MeaninglessRatio":
-		return strconv.FormatFloat(p.MeaninglessRatio, 'g', -1, 64)
-	case "MeaninglessMinLearned":
-		return strconv.Itoa(p.MeaninglessMinLearned)
-	case "DirDistanceWeight":
-		return strconv.FormatFloat(p.DirDistanceWeight, 'g', -1, 64)
-	case "InvestigatorWeight":
-		return strconv.FormatFloat(p.InvestigatorWeight, 'g', -1, 64)
-	case "SkipUnfittingClusters":
-		return strconv.FormatBool(p.SkipUnfittingClusters)
-	case "HoardSize":
-		return strconv.FormatInt(p.HoardSize, 10)
-	case "AutoTempMinCreates":
-		return strconv.Itoa(p.AutoTempMinCreates)
-	case "AutoTempRatio":
-		return strconv.FormatFloat(p.AutoTempRatio, 'g', -1, 64)
-	case "DistanceMode":
-		return strconv.Itoa(p.DistanceMode)
+// diff lists the settings that differ between old and new, limited to
+// the structural ones when structuralOnly is set: knobs by name, params
+// as "param Name".
+func diff(old, new Runtime, structuralOnly bool) []string {
+	var diffs []string
+	for i := range knobs {
+		k := &knobs[i]
+		if (k.structural || !structuralOnly) && k.get(&old) != k.get(&new) {
+			diffs = append(diffs, k.name)
+		}
 	}
-	return ""
+	for i := range params {
+		p := &params[i]
+		if (!p.hot || !structuralOnly) && p.get(&old.Params) != p.get(&new.Params) {
+			diffs = append(diffs, "param "+p.name)
+		}
+	}
+	return diffs
 }
 
 // StructuralDiff lists the structural settings that differ between old
 // and new: structural knobs plus ingest-frozen params. A non-empty
 // result means a reload from old to new must be rejected.
-func StructuralDiff(old, new Runtime) []string {
-	var diffs []string
-	for i := range knobs {
-		k := &knobs[i]
-		if k.Structural && k.Get(&old) != k.Get(&new) {
-			diffs = append(diffs, k.Name)
-		}
-	}
-	for _, name := range paramNames {
-		if !hotParams[name] && ParamValue(old.Params, name) != ParamValue(new.Params, name) {
-			diffs = append(diffs, "param "+name)
-		}
-	}
-	return diffs
-}
+func StructuralDiff(old, new Runtime) []string { return diff(old, new, true) }
 
 // Changed lists every setting (knob or param) that differs between old
 // and new, for reload logging.
 func Changed(old, new Runtime) []string {
-	var diffs []string
-	for i := range knobs {
-		k := &knobs[i]
-		if k.Get(&old) != k.Get(&new) {
-			diffs = append(diffs, k.Name)
-		}
-	}
-	for _, name := range paramNames {
-		if ParamValue(old.Params, name) != ParamValue(new.Params, name) {
-			diffs = append(diffs, "param "+name)
-		}
-	}
+	diffs := diff(old, new, false)
 	sort.Strings(diffs)
 	return diffs
 }
 
 // Describe renders the active settings as an ordered list of
-// name→value pairs for /debug/config, with secret knobs redacted.
+// name→value pairs for /debug/config.
 func Describe(r Runtime) []KV {
-	out := make([]KV, 0, len(knobs)+len(paramNames))
+	out := make([]KV, 0, len(knobs)+len(params))
 	for i := range knobs {
-		k := &knobs[i]
-		v := k.Get(&r)
-		if k.Secret {
-			v = "REDACTED"
-		}
-		out = append(out, KV{Key: k.Name, Value: v})
+		out = append(out, KV{Key: knobs[i].name, Value: knobs[i].get(&r)})
 	}
-	for _, name := range paramNames {
-		out = append(out, KV{Key: "param " + name, Value: ParamValue(r.Params, name)})
+	for i := range params {
+		out = append(out, KV{Key: "param " + params[i].name, Value: params[i].get(&r.Params)})
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package config
 import (
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -109,16 +110,28 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-// The retired -db flag is refused, never silently ignored: a daemon
-// pointed at its old snapshot must not start from an empty database.
+// Retired flags are refused, never silently ignored: a daemon pointed
+// at its old snapshot (-db) must not start from an empty database, and
+// a knob that became a constant must fail loudly rather than pretend
+// to take effect. A config file line naming one is an unknown key.
 func TestRetiredSeerdFlagsRefused(t *testing.T) {
-	for _, args := range [][]string{{"-db", "seer.db"}, {"-admit-miss-inflight", "4"}} {
+	retired := map[string]string{
+		"db": "seer.db", "admit-miss-inflight": "4",
+		"slo-fast-window-sec": "60", "slo-slow-window-sec": "600", "slo-burn-threshold": "2",
+		"flight-min-interval-sec": "5", "gateway-retries": "2", "gateway-retry-base-ms": "10",
+		"drain-timeout-ms": "1000",
+	}
+	for name, value := range retired {
 		r := DefaultRuntime()
 		fs := flag.NewFlagSet("seerd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		RegisterFlags(fs, &r, ForSeerd)
-		if err := fs.Parse(args); err == nil {
-			t.Errorf("seerd accepted retired flag %v", args)
+		if err := fs.Parse([]string{"-" + name, value}); err == nil {
+			t.Errorf("seerd accepted retired flag -%s", name)
+		}
+		err := ApplyFile(&r, strings.NewReader(name+" "+value+"\n"))
+		if err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("ApplyFile(%s) = %v, want an unknown key error", name, err)
 		}
 	}
 }
@@ -148,19 +161,16 @@ func TestRumordFlagParity(t *testing.T) {
 }
 
 // Each daemon's flag list is pinned: a knob joins a daemon only if
-// that daemon uses it (rumord runs no SLO monitor and never debounces a
-// flight capture, so it has no slo-* or flight-min-interval-sec flag).
-// -config is registered by the daemons themselves.
+// that daemon uses it. -config is registered by the daemons themselves.
 func TestDaemonFlagLists(t *testing.T) {
 	for _, c := range []struct {
 		mask DaemonMask
 		want string
 	}{
 		{ForSeerd, "admit-latency-ms admit-plan-inflight admit-queue-pct admit-retry-after " +
-			"admit-rumor-inflight budget cluster-churn-threshold debug-addr drain-timeout-ms " +
-			"flight-dir flight-min-interval-sec follow gateway-retries gateway-retry-base-ms " +
+			"admit-rumor-inflight budget cluster-churn-threshold debug-addr flight-dir follow " +
 			"gateway-timeout-ms listen log-format log-level queue queue-block-ms rumor rumor-url " +
-			"shard-dir shards slo-burn-threshold slo-fast-window-sec slo-slow-window-sec strace tracing"},
+			"shard-dir shards strace tracing"},
 		{ForRumord, "admit-latency-ms admit-retry-after admit-rumor-inflight debug-addr " +
 			"flight-dir listen log-format log-level tracing"},
 		{ForSeerctl, "budget"},
@@ -218,8 +228,8 @@ func TestChangedLists(t *testing.T) {
 func TestDescribeCoversEveryKnobAndParam(t *testing.T) {
 	r := DefaultRuntime()
 	kv := Describe(r)
-	if len(kv) != len(Knobs())+len(ParamNames()) {
-		t.Fatalf("Describe entries = %d, want %d", len(kv), len(Knobs())+len(ParamNames()))
+	if len(kv) != len(knobs)+len(params) {
+		t.Fatalf("Describe entries = %d, want %d", len(kv), len(knobs)+len(params))
 	}
 	for _, e := range kv {
 		if e.Key == "" {
@@ -228,15 +238,54 @@ func TestDescribeCoversEveryKnobAndParam(t *testing.T) {
 	}
 }
 
-func TestParamValueCoversEveryName(t *testing.T) {
-	p := Defaults()
-	for _, name := range ParamNames() {
-		if ParamValue(p, name) == "" {
-			t.Errorf("ParamValue(%s) empty", name)
+// Every field of Params is named by exactly one row: a param row of
+// the same name, or the cluster-churn-threshold knob for
+// ClusterChurnPct. Every row renders a value that it accepts back.
+func TestParamTableCoversEveryField(t *testing.T) {
+	rows := map[string]int{}
+	for _, p := range params {
+		rows[p.name]++
+	}
+	if knobByName("cluster-churn-threshold") == nil {
+		t.Fatal("cluster-churn-threshold knob missing")
+	}
+	rows["ClusterChurnPct"]++
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if rows[name] != 1 {
+			t.Errorf("Params.%s is named by %d rows, want 1", name, rows[name])
 		}
-		// Every listed name must round-trip through setParam.
-		if err := setParam(&p, name, ParamValue(p, name)); err != nil {
-			t.Errorf("setParam(%s) rejects its own rendering: %v", name, err)
+		delete(rows, name)
+	}
+	for name := range rows {
+		t.Errorf("row %q names no Params field", name)
+	}
+
+	// Each row reads and sets its own field: move the named field off
+	// its default, render it through the row, and set a fresh Params
+	// from the rendering; the two must match everywhere.
+	for _, row := range params {
+		want := Defaults()
+		f := reflect.ValueOf(&want).Elem().FieldByName(row.name)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 7)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + 7)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.125)
+		default:
+			t.Fatalf("param %s: unhandled kind %s", row.name, f.Kind())
+		}
+		got := Defaults()
+		if err := row.set(&got, row.get(&want)); err != nil {
+			t.Errorf("param %s rejects its own rendering %q: %v", row.name, row.get(&want), err)
+		}
+		if got != want {
+			t.Errorf("param %s does not round-trip its field: got %+v, want %+v", row.name, got, want)
 		}
 	}
 }

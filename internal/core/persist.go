@@ -16,14 +16,13 @@ import (
 // a daemon can checkpoint months of learned relationships and restore
 // them at the next start.
 //
-// Version 1 was a bare concatenation of sections; a single flipped bit
-// could misparse silently and a truncated file produced confusing
-// errors. Version 2 wraps every section in a CRC32-C frame with a
-// length header (wire.Frame), so corruption is detected at the section
-// that suffered it. Version 1 snapshots remain readable.
+// Version 2 wraps every section in a CRC32-C frame with a length
+// header (wire.Frame), so corruption is detected at the section that
+// suffered it. It is the only format: version 1, a bare concatenation
+// of sections that the seed release wrote, no longer loads, and the
+// recovery ladder treats such a file like any other unusable snapshot.
 const (
 	dbMagic    = "SEERDB"
-	dbVersion1 = 1
 	dbVersion2 = 2
 )
 
@@ -82,37 +81,12 @@ func (c *Correlator) Save(out io.Writer) error {
 	return w.Flush()
 }
 
-// saveV1 writes the legacy unframed v1 snapshot. Production code always
-// writes v2; this writer is kept so tests (and the fuzz corpus) can
-// prove that databases produced by earlier releases still load.
-func (c *Correlator) saveV1(out io.Writer) error {
-	w := wire.NewWriter(out)
-	w.Str(dbMagic)
-	w.U64(dbVersion1)
-	w.U64(c.events.Load())
-	c.fs.Save(w)
-	c.tbl.Save(w)
-	c.obs.Save(w)
-	w.Int(len(c.extraPairs))
-	for _, p := range c.extraPairs {
-		w.U64(uint64(p.From))
-		w.U64(uint64(p.To))
-		w.F64(p.Shared)
-	}
-	forced := c.ForcedFiles()
-	w.Int(len(forced))
-	for _, id := range forced {
-		w.U64(uint64(id))
-	}
-	return w.Flush()
-}
-
 // Load restores a correlator saved with Save. The options supply the
 // parameter set, control file and directory sizer, which are
-// configuration rather than state. Both the current framed v2 format
-// and the legacy v1 format are accepted. Load never panics: arbitrary
-// input yields an error (framing violations, checksum mismatches, or
-// CorruptError for decodable nonsense).
+// configuration rather than state. Only the framed v2 format loads.
+// Load never panics: arbitrary input yields an error (an unsupported
+// version, framing violations, checksum mismatches, or CorruptError for
+// decodable nonsense).
 func Load(in io.Reader, opts Options) (*Correlator, error) {
 	r := wire.NewReader(in)
 	if magic := r.Str(); magic != dbMagic {
@@ -125,47 +99,10 @@ func Load(in io.Reader, opts Options) (*Correlator, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	switch v {
-	case dbVersion1:
-		return loadV1(r, opts)
-	case dbVersion2:
-		return loadV2(r, opts)
+	if v != dbVersion2 {
+		return nil, fmt.Errorf("core: unsupported database version %d", v)
 	}
-	return nil, fmt.Errorf("core: unsupported database version %d", v)
-}
-
-// loadV1 reads the legacy unframed section sequence.
-func loadV1(r *wire.Reader, opts Options) (*Correlator, error) {
-	events := r.U64()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	seed := opts.Seed
-	fs, err := simfs.LoadFS(r, stats.NewRand(seed))
-	if err != nil {
-		return nil, fmt.Errorf("core: load file table: %w", err)
-	}
-	opts.FS = fs
-	c := New(opts)
-	c.events.Store(events)
-	tbl, err := semdist.LoadTable(r, c.p, stats.NewRand(seed+1))
-	if err != nil {
-		return nil, fmt.Errorf("core: load distance table: %w", err)
-	}
-	c.tbl = tbl
-	if err := c.obs.Load(r); err != nil {
-		return nil, fmt.Errorf("core: load observer: %w", err)
-	}
-	if err := c.loadRelations(r); err != nil {
-		return nil, err
-	}
-	if err := c.loadForced(r); err != nil {
-		return nil, err
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return c, nil
+	return loadV2(r, opts)
 }
 
 // loadV2 reads the framed section sequence, verifying each section's

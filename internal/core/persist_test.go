@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -139,11 +140,17 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
 	// The version varint follows the 1-byte length + 6-byte magic.
-	b[7] = 99
-	if _, err := Load(bytes.NewReader(b), opts); err == nil {
-		t.Error("wrong version accepted")
+	// Version 1 is the seed release's unframed format, which no longer
+	// loads.
+	for _, v := range []byte{1, 99} {
+		b := bytes.Clone(buf.Bytes())
+		b[7] = v
+		_, err := Load(bytes.NewReader(b), opts)
+		if want := fmt.Sprintf("unsupported database version %d", v); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: Load = %v, want %q", v, err, want)
+		}
 	}
 }
 
@@ -176,24 +183,6 @@ func tinyCorrelator() (*Correlator, Options) {
 		c.Feed(clk.Stamp(trace.Event{PID: 7, Op: trace.OpClose, Path: path, Uid: 1000}))
 	}
 	return c, opts
-}
-
-func TestLoadV1Compat(t *testing.T) {
-	// A v1 snapshot — what the seed release wrote — must still load and
-	// reproduce the same plan.
-	orig, _, opts := replayWorkload(t, 10)
-	var buf bytes.Buffer
-	if err := orig.saveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Events() != orig.Events() {
-		t.Errorf("events = %d, want %d", restored.Events(), orig.Events())
-	}
-	plansEqual(t, orig, restored)
 }
 
 func TestLoadTruncateEveryByte(t *testing.T) {

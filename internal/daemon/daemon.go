@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -51,7 +52,7 @@ type Options struct {
 	// Supervisor tunes the process supervision tree.
 	Supervisor supervise.Config
 	// Logger is the process logger (nil = a fresh one on stderr).
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // ParseFlags registers the knobs mask selects as flags over rt, plus
@@ -59,7 +60,7 @@ type Options struct {
 // flags, validates the result, and sets log's level and format. A bad
 // flag, file, or value exits with status 2, its message prefixed by
 // name.
-func ParseFlags(name string, log *obs.Logger, rt config.Runtime, mask config.DaemonMask) Options {
+func ParseFlags(name string, log *slog.Logger, rt config.Runtime, mask config.DaemonMask) Options {
 	config.RegisterFlags(flag.CommandLine, &rt, mask)
 	cfgPath := flag.String("config", "",
 		"runtime config file: flag-style `key value` lines plus `param Name Value`; "+
@@ -87,17 +88,9 @@ func ParseFlags(name string, log *obs.Logger, rt config.Runtime, mask config.Dae
 	if err := rt.Validate(); err != nil {
 		fail(err)
 	}
-	setLog(log, rt)
+	obs.ConfigureLogger(log, rt.Daemon.LogLevel, rt.Daemon.LogFormat) // Validate refused a bad level
 	opts.Runtime = rt
 	return opts
-}
-
-// setLog applies rt's log level and format to log.
-func setLog(log *obs.Logger, rt config.Runtime) {
-	if lv, err := obs.ParseLevel(rt.Daemon.LogLevel); err == nil {
-		log.SetLevel(lv)
-	}
-	log.SetJSON(rt.Daemon.LogFormat == "json")
 }
 
 // Daemon is the process half of one running daemon: its registry,
@@ -116,7 +109,7 @@ type Daemon struct {
 	// line. Set it before the stages start.
 	Apply func(next config.Runtime) []any
 
-	log      *obs.Logger
+	log      *slog.Logger
 	base     config.Runtime
 	cfgPath  string
 	watcher  *supervise.Watcher
@@ -151,13 +144,12 @@ func New(opts Options) *Daemon {
 	d.Tracer.SetEnabled(rt.Daemon.Tracing)
 	sc := opts.Supervisor
 	if sc.OnEvent == nil {
-		slog := d.log.With("component", "supervise")
+		log := d.log.With("component", "supervise")
 		sc.OnEvent = func(e supervise.Event) {
 			if e.Err != nil {
-				slog.Error("stage failure", "stage", e.Stage, "kind", e.Kind,
-					"err", supervise.FirstLine(e.Err.Error()))
+				log.Error("stage failure", "stage", e.Stage, "kind", e.Kind, "err", e.Err)
 			} else {
-				slog.Info("stage lifecycle", "stage", e.Stage, "kind", e.Kind,
+				log.Info("stage lifecycle", "stage", e.Stage, "kind", e.Kind,
 					"restarts", e.Restarts)
 			}
 		}
@@ -202,9 +194,6 @@ func (d *Daemon) AddStage(name string, fn supervise.StageFunc, opts ...supervise
 // dump and CPU profile the recorder itself contributes.
 func (d *Daemon) buildFlight(rt config.Runtime) {
 	fr := obs.NewFlightRecorder(rt.Daemon.FlightDir)
-	if rt.Daemon.FlightMinIntervalSec > 0 {
-		fr.MinInterval = time.Duration(rt.Daemon.FlightMinIntervalSec) * time.Second
-	}
 	fr.AddSource("traces.json", d.Tracer.WriteJSON)
 	fr.AddSource("metrics.prom", d.Reg.WritePrometheus)
 	fr.AddSource("config.txt", func(w io.Writer) error {
@@ -248,7 +237,7 @@ func (d *Daemon) applyConfig(data []byte) error {
 	}
 	changed := config.Changed(*d.Store.Get(), next)
 	gen := d.Store.Swap(next)
-	setLog(d.log, next)
+	obs.ConfigureLogger(d.log, next.Daemon.LogLevel, next.Daemon.LogFormat)
 	d.Tracer.SetEnabled(next.Daemon.Tracing)
 	if d.rumorLim != nil {
 		d.rumorLim.SetLimits(rumorLimits(next))
@@ -271,7 +260,7 @@ type debugConfigResponse struct {
 	LastReload *config.ReloadStatus `json:"last_reload,omitempty"`
 }
 
-// handleDebugConfig serves the active (redacted) configuration and the
+// handleDebugConfig serves the active configuration and the
 // outcome of the last reload attempt. GET only; other methods get 405
 // with Allow.
 func (d *Daemon) handleDebugConfig(w http.ResponseWriter, req *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"github.com/fmg/seer/internal/replic"
 	"github.com/fmg/seer/internal/simfs"
 	"github.com/fmg/seer/internal/stats"
+	"github.com/fmg/seer/internal/supervise"
 )
 
 // RetryPolicy configures fetch retries during hoard synchronization.
@@ -20,7 +21,7 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per file (minimum 1).
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; it doubles
-	// each further attempt.
+	// each further attempt (supervise.Backoff).
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff.
 	MaxDelay time.Duration
@@ -31,8 +32,8 @@ type RetryPolicy struct {
 	// Rand drives jitter; nil uses a shared locked process-wide source.
 	// A policy that truly wants deterministic backoff sets Jitter to 0.
 	Rand *stats.Rand
-	// Sleep is the delay function; nil means time.Sleep. Tests inject a
-	// stub to run instantly.
+	// Sleep is the delay function; nil means a sleep that the context
+	// of DoCtx cuts short. Tests inject a stub to run instantly.
 	Sleep func(time.Duration)
 	// OnRetry, when non-nil, is called once per backoff (i.e. per retry
 	// about to happen) with the failed attempt number and its error —
@@ -71,60 +72,38 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Rand == nil {
 		p.Rand = jitterRand
 	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
 	return p
 }
 
 // delay returns the jittered backoff before attempt (1-based: the wait
 // preceding attempt+1).
 func (p RetryPolicy) delay(attempt int) time.Duration {
-	d := p.BaseDelay << (attempt - 1)
-	if d > p.MaxDelay || d <= 0 { // <= 0 guards shift overflow
-		d = p.MaxDelay
+	var u float64
+	if p.Jitter > 0 {
+		u = p.Rand.Float64()
 	}
-	if p.Rand != nil && p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 - p.Jitter*p.Rand.Float64()))
-	}
-	return d
+	return supervise.Backoff{Initial: p.BaseDelay, Max: p.MaxDelay, Jitter: p.Jitter}.Delay(attempt, u)
 }
 
-// Do runs op, retrying transient failures with the policy's backoff.
-// replic.ErrNotReplicated is permanent (a definitive server answer) and
-// is returned without retry; every other error is assumed transient.
-// This is the retry core behind FetchWithRetry, and the hook the
-// networked substrate plugs into replic.RemoteRumor.Retry so its
-// round trips (push, reconcile, batched fetch) back off the same way
-// hoard fetches do.
+// Do runs op, retrying transient failures with the policy's backoff:
+// DoCtx without a deadline. This is the retry core behind
+// FetchWithRetry, and the hook the networked substrate plugs into
+// replic.RemoteRumor.Retry so its round trips (push, reconcile, batched
+// fetch) back off the same way hoard fetches do.
 func (p RetryPolicy) Do(op func() error) error {
-	p = p.withDefaults()
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil || errors.Is(err, replic.ErrNotReplicated) {
-			return err
-		}
-		if attempt >= p.MaxAttempts {
-			return err
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err)
-		}
-		p.Sleep(p.delay(attempt))
-	}
+	return p.DoCtx(context.Background(), op)
 }
 
-// DoCtx is Do bounded by ctx: a backoff in progress is cut short the
-// moment ctx ends (client disconnect, request deadline), and no further
-// attempt is made once ctx is done. It returns the last attempt's error
-// in that case — callers that need to distinguish "gave up because the
-// context died" check ctx.Err() themselves. A custom Sleep hook is
-// still honored (tests stub it to run instantly); the default sleep is
-// an interruptible timer rather than time.Sleep, so a cancelled request
-// never sleeps through its own backoff.
+// DoCtx runs op, retrying transient failures with the policy's backoff
+// until ctx ends. replic.ErrNotReplicated is permanent (a definitive
+// server answer) and is returned without retry; every other error is
+// assumed transient. A backoff in progress is cut short the moment ctx
+// ends (client disconnect, request deadline), and no further attempt is
+// made once ctx is done. It returns the last attempt's error in that
+// case — callers that need to distinguish "gave up because the context
+// died" check ctx.Err() themselves. A custom Sleep hook is still
+// honored (tests stub it to run instantly).
 func (p RetryPolicy) DoCtx(ctx context.Context, op func() error) error {
-	customSleep := p.Sleep
 	p = p.withDefaults()
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -139,27 +118,14 @@ func (p RetryPolicy) DoCtx(ctx context.Context, op func() error) error {
 			p.OnRetry(attempt, err)
 		}
 		d := p.delay(attempt)
-		if customSleep != nil {
-			customSleep(d)
-		} else if !sleepCtx(ctx, d) {
+		if p.Sleep != nil {
+			p.Sleep(d)
+		} else if !supervise.Sleep(ctx, d) {
 			return err
 		}
 		if ctx.Err() != nil {
 			return err
 		}
-	}
-}
-
-// sleepCtx waits d or until ctx ends, reporting whether the full delay
-// elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

@@ -36,7 +36,7 @@ func TestLoadSmoke(t *testing.T) {
 		Runtime: rt,
 		Seed:    1,
 		Supervisor: supervise.Config{
-			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
+			Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.1},
 			BreakAfter: 50,
 			Window:     time.Minute,
 		},

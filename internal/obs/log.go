@@ -1,229 +1,95 @@
 package obs
 
 import (
-	"fmt"
+	"context"
 	"io"
+	"log/slog"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// ParseLevel parses a level name (the -log-level flag values).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	default:
-		return LevelInfo, fmt.Errorf("obs: unknown log level %q", s)
-	}
-}
-
-// loggerState is the shared core of a Logger and all its With
-// derivatives: one writer, one level, one format.
-type loggerState struct {
-	mu    sync.Mutex
-	w     io.Writer
-	level atomic.Int32
+// logSwitch is the level and format shared by a logger and every
+// logger derived from it with With.
+type logSwitch struct {
+	level slog.LevelVar
 	json  atomic.Bool
-	// now is the clock, a hook for deterministic tests.
-	now func() time.Time
 }
 
-// Logger is a leveled structured logger emitting one line per event as
-// key=value pairs (or one JSON object with -log-format json). Loggers
-// are cheap handles over shared state: With returns a child carrying
-// extra bound fields (a per-stage component tag) that shares the
-// parent's level, format, and writer. All methods are safe for
-// concurrent use.
-type Logger struct {
-	st   *loggerState
-	tags []string // flattened key, value, key, value...
+// logHandler writes each record through a text (key=value) or a JSON
+// slog handler, chosen per record, so the format can change while the
+// daemon runs. Both handlers write to the same writer, carry the same
+// bound attributes, and read the shared level.
+type logHandler struct {
+	sw         *logSwitch
+	text, json slog.Handler
 }
 
-// NewLogger returns a text-format Logger at LevelInfo writing to w
-// (nil means os.Stderr).
-func NewLogger(w io.Writer) *Logger {
+func (h *logHandler) Enabled(_ context.Context, l slog.Level) bool {
+	return l >= h.sw.level.Level()
+}
+
+func (h *logHandler) Handle(ctx context.Context, r slog.Record) error {
+	if h.sw.json.Load() {
+		return h.json.Handle(ctx, r)
+	}
+	return h.text.Handle(ctx, r)
+}
+
+func (h *logHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return &logHandler{sw: h.sw, text: h.text.WithAttrs(as), json: h.json.WithAttrs(as)}
+}
+
+func (h *logHandler) WithGroup(name string) slog.Handler {
+	return &logHandler{sw: h.sw, text: h.text.WithGroup(name), json: h.json.WithGroup(name)}
+}
+
+// oneLine cuts string and error values at their first newline, so a
+// panic stack carried by an error never spans log lines.
+func oneLine(_ []string, a slog.Attr) slog.Attr {
+	switch v := a.Value.Any().(type) {
+	case string:
+		if s, _, cut := strings.Cut(v, "\n"); cut {
+			a.Value = slog.StringValue(s)
+		}
+	case error:
+		s, _, _ := strings.Cut(v.Error(), "\n")
+		a.Value = slog.StringValue(s)
+	}
+	return a
+}
+
+// NewLogger returns a logger writing one line per record to w (nil
+// means os.Stderr), at info level in slog's text form. Loggers derived
+// from it with With share its level and format, and ConfigureLogger
+// changes both while they run.
+func NewLogger(w io.Writer) *slog.Logger {
 	if w == nil {
 		w = os.Stderr
 	}
-	st := &loggerState{w: w, now: time.Now}
-	st.level.Store(int32(LevelInfo))
-	return &Logger{st: st}
+	sw := &logSwitch{}
+	opts := &slog.HandlerOptions{Level: &sw.level, ReplaceAttr: oneLine}
+	return slog.New(&logHandler{
+		sw:   sw,
+		text: slog.NewTextHandler(w, opts),
+		json: slog.NewJSONHandler(w, opts),
+	})
 }
 
-// SetLevel sets the minimum emitted level for this logger and every
-// logger sharing its state (parents and With children).
-func (l *Logger) SetLevel(lv Level) { l.st.level.Store(int32(lv)) }
-
-// Level returns the current minimum level.
-func (l *Logger) Level() Level { return Level(l.st.level.Load()) }
-
-// SetJSON switches between key=value text (false) and JSON lines.
-func (l *Logger) SetJSON(on bool) { l.st.json.Store(on) }
-
-// With returns a child logger with extra bound key/value pairs, given
-// as alternating keys and values.
-func (l *Logger) With(kvs ...string) *Logger {
-	if len(kvs)%2 != 0 {
-		kvs = append(kvs, "")
+// ConfigureLogger sets the level (debug, info, warn or error) and the
+// format (json, or text for anything else) of a logger built by
+// NewLogger, and so of every logger derived from it. It returns an
+// error for an unknown level, and leaves other loggers alone.
+func ConfigureLogger(l *slog.Logger, level, format string) error {
+	h, ok := l.Handler().(*logHandler)
+	if !ok {
+		return nil
 	}
-	tags := make([]string, 0, len(l.tags)+len(kvs))
-	tags = append(tags, l.tags...)
-	tags = append(tags, kvs...)
-	return &Logger{st: l.st, tags: tags}
-}
-
-// Enabled reports whether a message at lv would be emitted.
-func (l *Logger) Enabled(lv Level) bool { return lv >= l.Level() }
-
-// Debug logs at debug level; kvs alternate keys and values (values may
-// be any type; they are rendered with fmt).
-func (l *Logger) Debug(msg string, kvs ...any) { l.log(LevelDebug, msg, kvs) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kvs ...any) { l.log(LevelInfo, msg, kvs) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kvs ...any) { l.log(LevelWarn, msg, kvs) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kvs ...any) { l.log(LevelError, msg, kvs) }
-
-// needsQuote reports whether a text-format value must be quoted.
-func needsQuote(s string) bool {
-	if s == "" {
-		return true
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return err
 	}
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c <= ' ', c == '"', c == '=', c >= 0x7f:
-			return true
-		}
-	}
-	return false
-}
-
-// appendTextValue renders one value in key=value form.
-func appendTextValue(b []byte, s string) []byte {
-	if needsQuote(s) {
-		return strconv.AppendQuote(b, s)
-	}
-	return append(b, s...)
-}
-
-// render formats any value to its string form. Errors render their
-// message truncated at the first newline so a panic stack does not
-// explode a log line.
-func render(v any) string {
-	var s string
-	switch x := v.(type) {
-	case string:
-		s = x
-	case error:
-		s = x.Error()
-	case fmt.Stringer:
-		s = x.String()
-	default:
-		s = fmt.Sprint(v)
-	}
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
-}
-
-func (l *Logger) log(lv Level, msg string, kvs []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	ts := l.st.now().UTC().Format("2006-01-02T15:04:05.000Z07:00")
-	var b []byte
-	if l.st.json.Load() {
-		b = append(b, '{')
-		b = strconv.AppendQuote(b, "ts")
-		b = append(b, ':')
-		b = strconv.AppendQuote(b, ts)
-		appendJSON := func(k, v string) {
-			b = append(b, ',')
-			b = strconv.AppendQuote(b, k)
-			b = append(b, ':')
-			b = strconv.AppendQuote(b, v)
-		}
-		appendJSON("level", lv.String())
-		for i := 0; i+1 < len(l.tags); i += 2 {
-			appendJSON(l.tags[i], l.tags[i+1])
-		}
-		appendJSON("msg", msg)
-		for i := 0; i < len(kvs); i += 2 {
-			k := render(kvs[i])
-			v := ""
-			if i+1 < len(kvs) {
-				v = render(kvs[i+1])
-			}
-			appendJSON(k, v)
-		}
-		b = append(b, '}', '\n')
-	} else {
-		b = append(b, "ts="...)
-		b = append(b, ts...)
-		b = append(b, " level="...)
-		b = append(b, lv.String()...)
-		for i := 0; i+1 < len(l.tags); i += 2 {
-			b = append(b, ' ')
-			b = append(b, l.tags[i]...)
-			b = append(b, '=')
-			b = appendTextValue(b, l.tags[i+1])
-		}
-		b = append(b, " msg="...)
-		b = appendTextValue(b, msg)
-		for i := 0; i < len(kvs); i += 2 {
-			b = append(b, ' ')
-			b = append(b, render(kvs[i])...)
-			b = append(b, '=')
-			v := ""
-			if i+1 < len(kvs) {
-				v = render(kvs[i+1])
-			}
-			b = appendTextValue(b, v)
-		}
-		b = append(b, '\n')
-	}
-	l.st.mu.Lock()
-	l.st.w.Write(b)
-	l.st.mu.Unlock()
+	h.sw.level.Set(lv)
+	h.sw.json.Store(format == "json")
+	return nil
 }

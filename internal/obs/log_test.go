@@ -6,25 +6,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-func fixedClock() time.Time {
-	return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-}
-
-func newTestLogger() (*Logger, *strings.Builder) {
-	var b strings.Builder
-	l := NewLogger(&syncBuilder{b: &b})
-	l.st.now = fixedClock
-	return l, &b
-}
 
 // syncBuilder serializes writes so the test can read the builder after
 // concurrent logging without a race.
 type syncBuilder struct {
 	mu sync.Mutex
-	b  *strings.Builder
+	b  strings.Builder
 }
 
 func (s *syncBuilder) Write(p []byte) (int, error) {
@@ -33,109 +21,169 @@ func (s *syncBuilder) Write(p []byte) (int, error) {
 	return s.b.Write(p)
 }
 
-func TestLoggerText(t *testing.T) {
-	l, b := newTestLogger()
-	l.Info("plan built", "files", 12, "dur", "40ms")
-	got := b.String()
-	want := `ts=2026-08-05T12:00:00.000Z level=info msg="plan built" files=12 dur=40ms` + "\n"
-	if got != want {
-		t.Fatalf("got %q\nwant %q", got, want)
-	}
+func (s *syncBuilder) take() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.b.String()
+	s.b.Reset()
+	return out
 }
 
-func TestLoggerWithTags(t *testing.T) {
-	l, b := newTestLogger()
-	tl := l.With("component", "tailer")
-	tl.Warn("shed", "n", 3)
-	if got := b.String(); !strings.Contains(got, "component=tailer") || !strings.Contains(got, "level=warn") {
+func TestLoggerText(t *testing.T) {
+	var b syncBuilder
+	NewLogger(&b).Info("plan built", "files", 12, "dur", "40ms")
+	got := b.take()
+	if !strings.HasPrefix(got, "time=") ||
+		!strings.HasSuffix(got, ` level=INFO msg="plan built" files=12 dur=40ms`+"\n") {
 		t.Fatalf("got %q", got)
 	}
-	// Child shares the parent's level.
-	l.SetLevel(LevelError)
-	b.Reset()
-	tl.Warn("dropped")
-	if b.Len() != 0 {
-		t.Fatalf("warn emitted past error level: %q", b.String())
+}
+
+// With children carry their tags and share the parent's level,
+// including a level set after they were derived.
+func TestLoggerWithTags(t *testing.T) {
+	var b syncBuilder
+	l := NewLogger(&b)
+	child := l.With("component", "tailer")
+	child.Warn("shed", "n", 3)
+	if got := b.take(); !strings.Contains(got, "component=tailer") || !strings.Contains(got, "level=WARN") {
+		t.Fatalf("got %q", got)
+	}
+	if err := ConfigureLogger(l, "error", "text"); err != nil {
+		t.Fatal(err)
+	}
+	child.Warn("dropped")
+	if got := b.take(); got != "" {
+		t.Fatalf("warn emitted past error level: %q", got)
 	}
 }
 
+// A level change reaches loggers derived with With before the change.
 func TestLoggerLevelFilter(t *testing.T) {
-	l, b := newTestLogger()
-	l.Debug("hidden")
-	if b.Len() != 0 {
-		t.Fatalf("debug emitted at info level: %q", b.String())
+	var b syncBuilder
+	l := NewLogger(&b)
+	child := l.With("component", "tailer")
+	child.Debug("hidden")
+	if got := b.take(); got != "" {
+		t.Fatalf("debug emitted at the default info level: %q", got)
 	}
-	l.SetLevel(LevelDebug)
-	l.Debug("shown")
-	if !strings.Contains(b.String(), "level=debug") {
-		t.Fatalf("debug missing: %q", b.String())
+	if err := ConfigureLogger(l, "debug", "text"); err != nil {
+		t.Fatal(err)
 	}
-	if !l.Enabled(LevelDebug) {
-		t.Fatal("Enabled(debug) = false at debug level")
+	child.Debug("shown", "n", 3)
+	if got := b.take(); !strings.Contains(got, "level=DEBUG") || !strings.Contains(got, "n=3") {
+		t.Fatalf("child did not follow the level change: %q", got)
 	}
 }
 
+// A text ↔ JSON switch reaches loggers derived with With or WithGroup
+// before the switch, bound attributes included; error values keep only
+// their first line.
 func TestLoggerJSON(t *testing.T) {
-	l, b := newTestLogger()
-	l.SetJSON(true)
-	l.Error("boom", "err", errors.New("bad\nstack"), "stage", "feeder")
-	var m map[string]string
-	if err := json.Unmarshal([]byte(b.String()), &m); err != nil {
-		t.Fatalf("not valid JSON: %v\n%q", err, b.String())
+	var b syncBuilder
+	l := NewLogger(&b)
+	child := l.With("component", "shard", "shard", "3")
+	if err := ConfigureLogger(l, "info", "json"); err != nil {
+		t.Fatal(err)
 	}
-	if m["level"] != "error" || m["msg"] != "boom" || m["stage"] != "feeder" {
+	child.Error("boom", "err", errors.New("bad\nstack"), "files", 12)
+	var m map[string]any
+	if err := json.Unmarshal([]byte(b.take()), &m); err != nil {
+		t.Fatalf("not a JSON line after the switch: %v", err)
+	}
+	if m["level"] != "ERROR" || m["msg"] != "boom" || m["component"] != "shard" ||
+		m["shard"] != "3" || m["files"] != float64(12) || m["err"] != "bad" {
 		t.Fatalf("parsed %v", m)
 	}
-	// Error values truncate at the first newline.
-	if m["err"] != "bad" {
-		t.Fatalf("err = %q, want %q", m["err"], "bad")
+	l.WithGroup("req").Info("grouped", "n", 2)
+	if got := b.take(); !strings.Contains(got, `"req":{"n":2}`) {
+		t.Fatalf("WithGroup child did not follow the JSON switch: %q", got)
+	}
+	if err := ConfigureLogger(l, "info", "text"); err != nil {
+		t.Fatal(err)
+	}
+	child.Info("plan built")
+	if got := b.take(); !strings.Contains(got, `msg="plan built"`) || !strings.Contains(got, "component=shard") {
+		t.Fatalf("not a text line after switching back: %q", got)
+	}
+}
+
+// An error carrying a panic stack, or a string holding one, logs as
+// one line in either format.
+func TestLoggerCutsValuesAtNewline(t *testing.T) {
+	var b syncBuilder
+	l := NewLogger(&b)
+	stack := errors.New("panic: boom\ngoroutine 1 [running]:\nmain.main()")
+	for _, format := range []string{"text", "json"} {
+		if err := ConfigureLogger(l, "info", format); err != nil {
+			t.Fatal(err)
+		}
+		l.With("stage", "feeder\nextra").Error("stage failure\nmore", "err", stack, "note", "a\nb")
+		got := b.take()
+		if strings.Count(got, "\n") != 1 {
+			t.Fatalf("%s: record spans lines: %q", format, got)
+		}
+		for _, gone := range []string{"goroutine", "extra", "more", "b\""} {
+			if strings.Contains(got, gone) {
+				t.Fatalf("%s: %q survived the cut: %q", format, gone, got)
+			}
+		}
+		if !strings.Contains(got, "panic: boom") {
+			t.Fatalf("%s: first line of the error lost: %q", format, got)
+		}
 	}
 }
 
 func TestLoggerQuoting(t *testing.T) {
-	l, b := newTestLogger()
-	l.Info("x", "path", "/tmp/a b", "empty", "")
-	got := b.String()
+	var b syncBuilder
+	NewLogger(&b).Info("x", "path", "/tmp/a b", "empty", "")
+	got := b.take()
 	if !strings.Contains(got, `path="/tmp/a b"`) || !strings.Contains(got, `empty=""`) {
 		t.Fatalf("got %q", got)
 	}
 }
 
+// ConfigureLogger takes the -log-level names in any case and refuses
+// anything else, leaving the level as it was.
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "": LevelInfo,
-		"WARN": LevelWarn, "warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseLevel(%q) = %v, %v; want %v", s, got, err, want)
+	var b syncBuilder
+	l := NewLogger(&b)
+	for _, s := range []string{"debug", "info", "WARN", "Error"} {
+		if err := ConfigureLogger(l, s, "text"); err != nil {
+			t.Fatalf("ConfigureLogger(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel accepted garbage")
+	if err := ConfigureLogger(l, "loud", "text"); err == nil {
+		t.Fatal("ConfigureLogger accepted garbage")
+	}
+	l.Warn("hidden")
+	l.Error("shown")
+	if got := b.take(); strings.Contains(got, "hidden") || !strings.Contains(got, "shown") {
+		t.Fatalf("level moved by a refused name: %q", got)
 	}
 }
 
 func TestLoggerConcurrent(t *testing.T) {
-	l, b := newTestLogger()
+	var b syncBuilder
+	l := NewLogger(&b)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl := l.With("worker", Level(i).String())
+			cl := l.With("worker", i)
 			for j := 0; j < 200; j++ {
 				cl.Info("tick", "j", j)
 			}
 		}(i)
 	}
 	wg.Wait()
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(b.take(), "\n"), "\n")
 	if len(lines) != 1600 {
 		t.Fatalf("got %d lines, want 1600", len(lines))
 	}
 	for _, ln := range lines {
-		if !strings.HasPrefix(ln, "ts=") || !strings.Contains(ln, "msg=tick") {
+		if !strings.HasPrefix(ln, "time=") || !strings.Contains(ln, "msg=tick") {
 			t.Fatalf("torn line %q", ln)
 		}
 	}

@@ -41,15 +41,25 @@ func LatencyObjective(name string, h *obs.Histogram, threshold, target float64, 
 	}
 }
 
+// The windows and breach threshold a Config left zero takes, and the
+// ones seerd runs with: a fast window that pages, a slow window that
+// confirms, and the fast-window burn rate that marks an objective
+// breached (14 is the classic page threshold: burning a 30-day budget
+// in about 2 days).
+const (
+	DefaultFastWindow = 5 * time.Minute
+	DefaultSlowWindow = time.Hour
+	DefaultThreshold  = 14
+)
+
 // Config shapes a Monitor. Zero values take the defaults noted.
 type Config struct {
-	FastWindow time.Duration // burn window that pages (default 5m)
-	SlowWindow time.Duration // burn window that confirms (default 1h)
+	FastWindow time.Duration // burn window that pages (DefaultFastWindow)
+	SlowWindow time.Duration // burn window that confirms (DefaultSlowWindow)
 	Tick       time.Duration // sampling interval (default 5s)
 
 	// Threshold is the fast-window burn rate that marks an objective
-	// breached (default 14 — the classic page threshold: burning a
-	// 30-day budget in ~2 days).
+	// breached (DefaultThreshold).
 	Threshold float64
 
 	// OnBreach fires once per transition into breach (per objective),
@@ -61,16 +71,16 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
+		c.FastWindow = DefaultFastWindow
 	}
 	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
+		c.SlowWindow = DefaultSlowWindow
 	}
 	if c.Tick <= 0 {
 		c.Tick = 5 * time.Second
 	}
 	if c.Threshold <= 0 {
-		c.Threshold = 14
+		c.Threshold = DefaultThreshold
 	}
 	if c.MinBetween <= 0 {
 		c.MinBetween = time.Minute
@@ -238,46 +248,4 @@ func (m *Monitor) Breached() []string {
 		}
 	}
 	return out
-}
-
-// ObjectiveStatus is one row of Status, the /debug/slo wire form.
-type ObjectiveStatus struct {
-	Name     string  `json:"slo"`
-	Target   float64 `json:"target"`
-	Fast     float64 `json:"burn_fast"`
-	Slow     float64 `json:"burn_slow"`
-	Total    uint64  `json:"events_total"`
-	Bad      uint64  `json:"events_bad"`
-	Breached bool    `json:"breached"`
-}
-
-// Status snapshots every objective.
-func (m *Monitor) Status() []ObjectiveStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := time.Now()
-	out := make([]ObjectiveStatus, 0, len(m.objs))
-	for _, st := range m.objs {
-		s := ObjectiveStatus{
-			Name:     st.o.Name,
-			Target:   st.o.Target,
-			Fast:     m.burnLocked(st, m.cfg.FastWindow, now),
-			Slow:     m.burnLocked(st, m.cfg.SlowWindow, now),
-			Breached: st.breached,
-		}
-		if n := len(st.samples); n > 0 {
-			s.Total = st.samples[n-1].total
-			s.Bad = st.samples[n-1].bad
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// Threshold returns the configured fast-window breach threshold.
-func (m *Monitor) Threshold() float64 { return m.cfg.Threshold }
-
-// Windows returns the configured (fast, slow) windows.
-func (m *Monitor) Windows() (fast, slow time.Duration) {
-	return m.cfg.FastWindow, m.cfg.SlowWindow
 }

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestBurnMath(t *testing.T) {
 	// compares exactly below.
 	m.Add(c.objective("api", 0.5))
 
-	fast, _ := m.Windows()
+	fast := DefaultFastWindow
 	m.Tick() // one sample: no window yet
 	if got := m.Burn("api", fast); got != 0 {
 		t.Fatalf("burn with a single sample = %g, want 0", got)
@@ -69,8 +70,7 @@ func TestBurnCounterReset(t *testing.T) {
 	m.Tick()
 	c.total, c.bad = 10, 10 // reset below the previous sample
 	m.Tick()
-	fast, _ := m.Windows()
-	if got := m.Burn("api", fast); got != 0 {
+	if got := m.Burn("api", DefaultFastWindow); got != 0 {
 		t.Fatalf("burn across a counter reset = %g, want 0", got)
 	}
 }
@@ -176,9 +176,9 @@ func TestLatencyObjective(t *testing.T) {
 	}
 }
 
-// Add clamps a nonsense target to 0.99, and Status reflects the last
-// sample's cumulative counts and the latch.
-func TestTargetClampAndStatus(t *testing.T) {
+// Add clamps a nonsense target to 0.99, and the burn and the latch
+// follow each objective's cumulative counts at its own target.
+func TestTargetClampAndBurn(t *testing.T) {
 	m := New(Config{FastWindow: time.Nanosecond, Threshold: 2})
 	var a, b, c counters
 	m.Add(a.objective("zero", 0))
@@ -187,26 +187,28 @@ func TestTargetClampAndStatus(t *testing.T) {
 
 	m.Tick()
 	a.total, a.bad = 10, 10
+	b.total, b.bad = 1000, 1
+	c.total, c.bad = 100, 10
 	m.Tick()
 
-	st := m.Status()
-	if len(st) != 3 {
-		t.Fatalf("Status has %d rows, want 3", len(st))
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+	// An hour-long window spans both samples; the latch below followed
+	// the 1ns fast window at the last Tick.
+	// 10 of 10 bad at a clamped 0.99: 100 times the budget.
+	if got := m.Burn("zero", time.Hour); !near(got, 100) {
+		t.Fatalf("zero-target burn = %g, want 100 (target clamped to 0.99)", got)
 	}
-	for _, row := range st[:2] {
-		if row.Target != 0.99 {
-			t.Fatalf("objective %q target = %g, want clamped 0.99", row.Name, row.Target)
-		}
+	// 1 in 1000 bad at a clamped 0.99 burns 0.1; an unclamped 1.5 has
+	// no budget and would burn 0.
+	if got := m.Burn("overone", time.Hour); !near(got, 0.1) {
+		t.Fatalf("over-one burn = %g, want 0.1 (target clamped to 0.99)", got)
 	}
-	if st[2].Target != 0.9 {
-		t.Fatalf("valid target = %g, want 0.9 untouched", st[2].Target)
+	// 10 in 100 bad at 0.9 is exactly on budget; clamped it would be 10.
+	if got := m.Burn("valid", time.Hour); !near(got, 1) {
+		t.Fatalf("valid burn = %g, want 1 (target 0.9 untouched)", got)
 	}
-	if st[0].Total != 10 || st[0].Bad != 10 {
-		t.Fatalf("status counts = %d/%d, want 10/10", st[0].Total, st[0].Bad)
-	}
-	if !st[0].Breached || st[1].Breached || st[2].Breached {
-		t.Fatalf("breach flags = %v/%v/%v, want true/false/false",
-			st[0].Breached, st[1].Breached, st[2].Breached)
+	if br := m.Breached(); len(br) != 1 || br[0] != "zero" {
+		t.Fatalf("Breached() = %v, want [zero]", br)
 	}
 }
 

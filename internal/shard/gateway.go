@@ -64,14 +64,10 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// PolicyFromRuntime maps the hot gateway knobs onto a Policy.
+// PolicyFromRuntime maps the hot gateway knob onto a Policy; the rest
+// of the discipline is the defaults.
 func PolicyFromRuntime(rt config.Runtime) Policy {
-	return Policy{
-		MaxAttempts:  rt.Daemon.GatewayRetries,
-		BaseDelay:    time.Duration(rt.Daemon.GatewayRetryBaseMS) * time.Millisecond,
-		Timeout:      time.Duration(rt.Daemon.GatewayTimeoutMS) * time.Millisecond,
-		DrainTimeout: time.Duration(rt.Daemon.DrainTimeoutMS) * time.Millisecond,
-	}
+	return Policy{Timeout: time.Duration(rt.Daemon.GatewayTimeoutMS) * time.Millisecond}
 }
 
 // Gateway fronts a Manager with user→shard routing plus the failure
@@ -85,20 +81,16 @@ type Gateway struct {
 	mgr    *Manager
 	pol    atomic.Pointer[Policy]
 	rand   *stats.Rand
-	log    *obs.Logger
 	tracer *obs.Tracer
 
 	mRetries   *obs.CounterVec   // seer_gateway_retries_total{endpoint}
 	mRouteErrs *obs.CounterVec   // seer_gateway_route_errors_total{endpoint}
 	mLatency   *obs.HistogramVec // seer_gateway_request_seconds{endpoint}
-
-	// sleep is the backoff delay hook (tests replace it).
-	sleep func(context.Context, time.Duration)
 }
 
 // gatewayEndpoints are the routed endpoints, the closed label set of
 // the per-endpoint instruments.
-var gatewayEndpoints = []string{"plan", "hoard", "clusters", "stats", "miss", "events"}
+var gatewayEndpoints = []string{"plan", "hoard", "clusters", "miss", "events"}
 
 // NewGateway wires a gateway over mgr. pol zero-values get defaults.
 func NewGateway(mgr *Manager, pol Policy) *Gateway {
@@ -107,7 +99,6 @@ func NewGateway(mgr *Manager, pol Policy) *Gateway {
 		// Locked: one gateway rand feeds backoff jitter for every
 		// concurrent request goroutine.
 		rand:   stats.NewLockedRand(mgr.cfg.Seed ^ 0x6761746577617973), // "gateways"
-		log:    mgr.cfg.Logger.With("component", "gateway"),
 		tracer: mgr.cfg.Tracer,
 		mRetries: mgr.cfg.Metrics.CounterVec("seer_gateway_retries_total",
 			"Gateway retries of transient shard errors.", "endpoint"),
@@ -116,7 +107,6 @@ func NewGateway(mgr *Manager, pol Policy) *Gateway {
 		mLatency: mgr.cfg.Metrics.HistogramVec("seer_gateway_request_seconds",
 			"Successful gateway request latency (includes retries and backoff).",
 			nil, "endpoint"),
-		sleep: sleepCtx,
 	}
 	// Exemplar-referenced traces stay pinned in the span ring, so
 	// following a p99 exemplar to /debug/traces never comes back empty.
@@ -152,16 +142,6 @@ func (g *Gateway) Policy() Policy { return *g.pol.Load() }
 // Manager returns the routed manager.
 func (g *Gateway) Manager() *Manager { return g.mgr }
 
-// sleepCtx waits d or until ctx ends.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 // Handler returns the gateway mux: the decision and ingest endpoints,
 // each taking ?user= for routing, plus the /shards operations surface.
 func (g *Gateway) Handler() http.Handler {
@@ -170,7 +150,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/hoard", g.handleHoard)
 	mux.HandleFunc("/clusters", g.handleClusters)
 	mux.HandleFunc("/miss", g.handleMiss)
-	mux.HandleFunc("/stats", g.handleStats)
 	mux.HandleFunc("/events", g.handleEvents)
 	mux.HandleFunc("/shards", g.HandleShards)
 	mux.HandleFunc("/shards/drain", g.handleDrain)
@@ -219,7 +198,6 @@ func (g *Gateway) route(ctx context.Context, endpoint, user string, op shardOp) 
 		MaxDelay:    pol.MaxDelay,
 		Jitter:      pol.Jitter,
 		Rand:        g.rand,
-		Sleep:       func(d time.Duration) { g.sleep(ctx, d) },
 		OnRetry: func(int, error) {
 			g.mRetries.With(endpoint).Inc()
 		},
@@ -396,13 +374,6 @@ func (g *Gateway) handleHoard(w http.ResponseWriter, req *http.Request) {
 func (g *Gateway) handleClusters(w http.ResponseWriter, req *http.Request) {
 	g.serve(w, req, "clusters", func(ctx context.Context, s *Shard) ([]byte, bool, error) {
 		b, err := s.Clusters(ctx)
-		return b, false, err
-	})
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, req *http.Request) {
-	g.serve(w, req, "stats", func(ctx context.Context, s *Shard) ([]byte, bool, error) {
-		b, err := s.Stats(ctx)
 		return b, false, err
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"strconv"
 	"sync"
 	"time"
@@ -30,7 +31,7 @@ type ManagerConfig struct {
 	// Metrics, Tracer, Logger are shared across every shard.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
-	Logger  *obs.Logger
+	Logger  *slog.Logger
 	// Supervisor tunes each shard's private tree.
 	Supervisor supervise.Config
 	// CheckpointEvery is each shard's snapshot interval.
@@ -50,10 +51,15 @@ type ManagerConfig struct {
 type Manager struct {
 	cfg  ManagerConfig
 	ring *Ring
-	log  *obs.Logger
+	log  *slog.Logger
 
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// reload serializes runtime pushes into shards: ApplyRuntime, and a
+	// drain's catch-up of its replacement. Shard.ApplyRuntime assumes
+	// reloads reach a shard one at a time, in order.
+	reload sync.Mutex
 
 	mu    sync.RWMutex
 	slots []*Shard
@@ -105,7 +111,7 @@ func NewManager(ctx context.Context, cfg ManagerConfig) *Manager {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := Open(mctx, m.shardConfig(i))
+			s := Open(mctx, m.shardConfig(i, cfg.Runtime))
 			m.mu.Lock()
 			m.slots[i] = s
 			m.mu.Unlock()
@@ -155,9 +161,8 @@ func (m *Manager) registerMetrics() {
 // — the stale half of the SLO's bad events.
 func (m *Manager) StaleServed() uint64 { return staleCounter(m.cfg.Metrics).Value() }
 
-// shardConfig derives slot i's shard Config from the manager's Runtime.
-func (m *Manager) shardConfig(i int) Config {
-	rt := m.cfg.Runtime
+// shardConfig derives slot i's shard Config from rt.
+func (m *Manager) shardConfig(i int, rt config.Runtime) Config {
 	return Config{
 		ID:              i,
 		Dir:             m.cfg.Dir,
@@ -246,21 +251,34 @@ func (m *Manager) Drain(ctx context.Context, i int) error {
 
 	// Replay on the target: the replacement opens from the final
 	// checkpoint the drain just wrote, picking up every folded event.
-	repl := Open(m.ctx, m.shardConfig(i))
+	m.mu.RLock()
+	rt := m.cfg.Runtime
+	m.mu.RUnlock()
+	repl := Open(m.ctx, m.shardConfig(i, rt))
+	// A reload that landed while the replacement opened skipped the
+	// closed shard in the slot; catch the replacement up once it is in.
+	m.reload.Lock()
 	m.mu.Lock()
 	m.retired[i] += old.Restarts()
 	m.retiredDrops[i] += old.queue.Drops()
 	m.replaced[i]++
 	m.slots[i] = repl
+	latest := m.cfg.Runtime
 	m.mu.Unlock()
+	if latest != rt {
+		repl.ApplyRuntime(latest)
+	}
+	m.reload.Unlock()
 	m.log.Info("shard replaced", "shard", i, "events", repl.Events())
 	return nil
 }
 
 // ApplyRuntime pushes hot-reloadable settings into every SERVING shard
-// (a draining or closed shard is skipped — its replacement opens with
-// the new runtime via shardConfig). Returns the slots skipped.
+// (a draining or closed shard is skipped — Drain applies the new
+// runtime to its replacement). Returns the slots skipped.
 func (m *Manager) ApplyRuntime(rt config.Runtime) (skipped []int) {
+	m.reload.Lock()
+	defer m.reload.Unlock()
 	m.mu.Lock()
 	m.cfg.Runtime = rt
 	shards := make([]*Shard, len(m.slots))

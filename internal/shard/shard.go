@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -138,7 +139,7 @@ type Config struct {
 	// carry a shard attribute).
 	Tracer *obs.Tracer
 	// Logger is the parent logger; the shard derives a tagged child.
-	Logger *obs.Logger
+	Logger *slog.Logger
 
 	// QueueCap / QueueBlock bound the shard's ingestion queue.
 	QueueCap   int
@@ -216,7 +217,7 @@ type Shard struct {
 	id   int
 	name string
 	cfg  Config
-	log  *obs.Logger
+	log  *slog.Logger
 
 	state  atomic.Int32
 	stateG *obs.Gauge // seer_shard_state{shard}
@@ -327,11 +328,10 @@ func Open(ctx context.Context, cfg Config) *Shard {
 
 	sc := cfg.Supervisor
 	if sc.OnEvent == nil {
-		slog := s.log
+		log := s.log
 		sc.OnEvent = func(e supervise.Event) {
 			if e.Err != nil {
-				slog.Error("stage failure", "stage", e.Stage, "kind", e.Kind,
-					"err", supervise.FirstLine(e.Err.Error()))
+				log.Error("stage failure", "stage", e.Stage, "kind", e.Kind, "err", e.Err)
 			}
 		}
 	}
@@ -996,23 +996,6 @@ func (s *Shard) Miss(ctx context.Context, path string) ([]string, error) {
 	return mates, nil
 }
 
-// Stats renders the observer statistics.
-func (s *Shard) Stats(ctx context.Context) ([]byte, error) {
-	if s.State() == Closed {
-		return nil, ErrClosed
-	}
-	if !s.lockCtx(ctx) {
-		return nil, context.DeadlineExceeded
-	}
-	defer s.unlock()
-	st := s.corr.Observer().Stats()
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "events %d\nreferences %d\nknown %d\ntracked %d\nfrequent %d\n",
-		st.Events, st.References, s.corr.FS().Len(), s.corr.Table().Len(),
-		len(s.corr.Observer().FrequentFiles()))
-	return buf.Bytes(), nil
-}
-
 // ApplyRuntime pushes the hot-reloadable settings into the shard — but
 // only while it is serving. A draining or closed shard must never see
 // new Params (that would resurrect a retiring pipeline or mutate a
@@ -1148,7 +1131,7 @@ const bakSuffix = ".bak"
 // snapshot, then its .bak rotation, then a fresh database. Corruption
 // is downgraded and logged — a poisoned SEERDB costs one shard at most
 // one checkpoint interval of learning, never the process.
-func RestoreSnapshot(path string, opts core.Options, log *obs.Logger) *core.Correlator {
+func RestoreSnapshot(path string, opts core.Options, log *slog.Logger) *core.Correlator {
 	if path == "" {
 		return core.New(opts)
 	}

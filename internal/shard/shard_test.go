@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func testLines(off, n int) []string {
 // fastSupervisor is a backoff policy tight enough for tests.
 func fastSupervisor() supervise.Config {
 	return supervise.Config{
-		Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.1},
+		Backoff:    supervise.Backoff{Initial: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.1},
 		BreakAfter: 50,
 		Window:     time.Minute,
 	}
@@ -237,6 +238,97 @@ func TestRestoreSnapshotLadder(t *testing.T) {
 	}
 	if got := RestoreSnapshot(path, opts, log).Events(); got != 0 {
 		t.Fatalf("fresh restore: %d events, want 0", got)
+	}
+}
+
+// A SEERDB v1 file (the seed release's format) is an unusable snapshot:
+// next to a v2 .bak the ladder restores the backup, and alone it
+// starts fresh. Both log why.
+func TestRestoreSnapshotRefusesV1(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-000.db")
+	s := Open(context.Background(), testConfig(t, 0, dir))
+	ingest(t, s, testLines(0, 8))
+	events := s.Events()
+	s.Close()
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte(nil), v2...)
+	v1[7] = 1 // the version varint follows the 1-byte length + 6-byte magic
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+bakSuffix, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	params := config.Defaults()
+	opts := core.Options{Params: &params, Seed: 1}
+
+	var logs strings.Builder
+	if got := RestoreSnapshot(path, opts, obs.NewLogger(&logs)).Events(); got != events {
+		t.Fatalf("v1 primary beside a v2 .bak restored %d events, want %d", got, events)
+	}
+	for _, want := range []string{"snapshot unusable", "unsupported database version 1",
+		"recovered from backup"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, logs.String())
+		}
+	}
+
+	if err := os.Remove(path + bakSuffix); err != nil {
+		t.Fatal(err)
+	}
+	logs.Reset()
+	if got := RestoreSnapshot(path, opts, obs.NewLogger(&logs)).Events(); got != 0 {
+		t.Fatalf("v1 file alone restored %d events, want a fresh start", got)
+	}
+	for _, want := range []string{"snapshot unusable", "starting with a fresh database"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, logs.String())
+		}
+	}
+}
+
+// A reload that lands while a drain's replacement opens reaches the
+// replacement. The old shard is closed by then, so the manager's push
+// skips it; the drain must catch the replacement up. The reload lands
+// shortly after the old shard closes, inside the replacement's replay
+// of a 200-file snapshot (about a millisecond). A round can miss that
+// window either way, so the test takes eight; the race detector also
+// flags an unlocked read of the manager's runtime.
+func TestReloadDuringDrainReachesReplacement(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		base := config.DefaultRuntime()
+		base.Daemon.QueueCap = 256
+		mgr := NewManager(context.Background(), ManagerConfig{
+			Shards: 1, Dir: t.TempDir(), Runtime: base, Seed: 1,
+			Supervisor: fastSupervisor(), CheckpointEvery: time.Hour,
+		})
+		old := mgr.Shard(0)
+		ingest(t, old, testLines(0, 200))
+		next := base
+		next.Daemon.QueueCap = 777
+		reloaded := make(chan struct{})
+		go func() {
+			defer close(reloaded)
+			for old.State() != Closed {
+				runtime.Gosched()
+			}
+			time.Sleep(200 * time.Microsecond)
+			mgr.ApplyRuntime(next)
+		}()
+		if err := mgr.Drain(context.Background(), 0); err != nil {
+			t.Fatalf("round %d: Drain: %v", round, err)
+		}
+		<-reloaded
+		if got := mgr.Shard(0).queue.Cap(); got != 777 {
+			t.Fatalf("round %d: replacement queue cap %d, want the reloaded 777", round, got)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

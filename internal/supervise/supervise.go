@@ -95,14 +95,32 @@ func (s StageState) String() string {
 // or a panic counts as a failure and triggers restart-with-backoff.
 type StageFunc func(ctx context.Context) error
 
-// Backoff shapes the restart delay: Initial doubling by Factor up to
-// Max, with ±Jitter fraction of randomization so a fleet of daemons
-// does not restart in lockstep.
+// Backoff is the daemons' one exponential backoff with jitter: the
+// restart delay of a failed stage here, and every retry of
+// hoard.RetryPolicy. The delay after the nth consecutive failure is
+// Initial doubled n-1 times and capped at Max, with up to a Jitter
+// fraction taken off at random, so it lies in [d(1-Jitter), d] and a
+// fleet of daemons does not retry in lockstep.
 type Backoff struct {
 	Initial time.Duration
 	Max     time.Duration
-	Factor  float64
 	Jitter  float64
+}
+
+// Delay returns the wait after the attempt-th consecutive failure
+// (1-based), given u uniform in [0,1).
+func (b Backoff) Delay(attempt int, u float64) time.Duration {
+	d := b.Initial
+	for i := 1; i < attempt && d < b.Max; i++ {
+		d *= 2
+	}
+	if d > b.Max {
+		d = b.Max
+	}
+	if b.Jitter > 0 {
+		d = time.Duration(float64(d) * (1 - b.Jitter*u))
+	}
+	return d
 }
 
 // withDefaults fills zero fields.
@@ -113,15 +131,25 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 5 * time.Second
 	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
 	if b.Jitter < 0 {
 		b.Jitter = 0
 	} else if b.Jitter == 0 {
 		b.Jitter = 0.25
 	}
 	return b
+}
+
+// Sleep waits d or until ctx ends, reporting whether the full delay
+// elapsed.
+func Sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // Event describes a stage lifecycle transition, delivered to
@@ -136,7 +164,7 @@ type Event struct {
 // Config tunes a Supervisor.
 type Config struct {
 	// Backoff is the restart delay policy; zero fields get defaults
-	// (50ms initial, 5s max, ×2, ±25% jitter).
+	// (50ms initial, 5s max, up to 25% jitter).
 	Backoff Backoff
 	// BreakAfter trips the circuit breaker after this many failures
 	// within Window (default 8; negative disables the breaker).
@@ -308,36 +336,19 @@ func (s *Supervisor) invoke(st *stage) (err error) {
 	return st.fn(s.ctx)
 }
 
-// sleep waits d or until the supervisor context ends; it reports false
-// when the context ended first.
-func (s *Supervisor) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-s.ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// jittered randomizes d by ±Jitter.
-func (s *Supervisor) jittered(d time.Duration) time.Duration {
-	j := s.cfg.Backoff.Jitter
-	if j <= 0 {
-		return d
-	}
+// uniform draws the jitter for one restart delay.
+func (s *Supervisor) uniform() float64 {
 	s.mu.Lock()
-	f := 1 + j*(2*s.rng.Float64()-1)
-	s.mu.Unlock()
-	return time.Duration(float64(d) * f)
+	defer s.mu.Unlock()
+	return s.rng.Float64()
 }
 
 // runStage is the per-stage restart loop: run, capture, back off,
 // restart, break the circuit on sustained failure.
 func (s *Supervisor) runStage(st *stage) {
 	defer s.wg.Done()
-	backoff := s.cfg.Backoff.Initial
+	// failed counts the failures since the backoff last reset.
+	failed := 0
 	var restarts uint64
 	for {
 		s.setState(st, StageRunning, nil)
@@ -367,7 +378,7 @@ func (s *Supervisor) runStage(st *stage) {
 		// A stage that stayed up longer than Window earned a fresh
 		// backoff and failure count.
 		if time.Since(began) > s.cfg.Window {
-			backoff = s.cfg.Backoff.Initial
+			failed = 0
 			s.mu.Lock()
 			st.failures = st.failures[:0]
 			s.mu.Unlock()
@@ -393,26 +404,23 @@ func (s *Supervisor) runStage(st *stage) {
 			if s.cfg.ResetAfter <= 0 {
 				return
 			}
-			if !s.sleep(s.cfg.ResetAfter) {
+			if !Sleep(s.ctx, s.cfg.ResetAfter) {
 				s.setState(st, StageStopped, nil)
 				return
 			}
 			s.mu.Lock()
 			st.failures = st.failures[:0]
 			s.mu.Unlock()
-			backoff = s.cfg.Backoff.Initial
+			failed = 0
 			s.emit(st, "reset", nil, restarts)
 			continue
 		}
 
 		s.setState(st, StageBackoff, err)
-		if !s.sleep(s.jittered(backoff)) {
+		failed++
+		if !Sleep(s.ctx, s.cfg.Backoff.Delay(failed, s.uniform())) {
 			s.setState(st, StageStopped, nil)
 			return
-		}
-		backoff = time.Duration(float64(backoff) * s.cfg.Backoff.Factor)
-		if backoff > s.cfg.Backoff.Max {
-			backoff = s.cfg.Backoff.Max
 		}
 		restarts++
 		s.mu.Lock()

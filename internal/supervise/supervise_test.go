@@ -15,7 +15,7 @@ import (
 // fastCfg is a backoff policy tight enough for tests.
 func fastCfg() Config {
 	return Config{
-		Backoff:    Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.1},
+		Backoff:    Backoff{Initial: time.Millisecond, Max: 5 * time.Millisecond, Jitter: 0.1},
 		BreakAfter: 4,
 		Window:     time.Minute,
 	}
